@@ -1029,6 +1029,17 @@ impl<'e> ProgRun<'e> {
         Some(DegradedReport::build(reason.clone(), &ir, &cus, &statics))
     }
 
+    /// Stage-level cache lookup. A stage with a fault plan armed for this
+    /// batch index always executes: injection tests the stage, and the
+    /// content-keyed cache would otherwise let an identical input elsewhere
+    /// in the batch answer for it and bypass the plan.
+    fn lookup(&self, s: Stage, k: u64) -> Lookup {
+        if self.eng.faults.iter().any(|p| p.stage == s && p.input == self.index) {
+            return Lookup::Miss;
+        }
+        self.eng.cache.lookup(k)
+    }
+
     // ---- parse ----------------------------------------------------------
 
     fn key_parse(&self) -> u64 {
@@ -1062,7 +1073,7 @@ impl<'e> ProgRun<'e> {
         if let Some(d) = self.ast_d {
             return Ok(d);
         }
-        match self.eng.cache.lookup(self.key_parse()) {
+        match self.lookup(Stage::Parse, self.key_parse()) {
             Lookup::Memory(Artifact::Ast(a), d) => {
                 self.states[Stage::Parse.index()] = St::Hit;
                 self.ast = Some(a);
@@ -1142,7 +1153,7 @@ impl<'e> ProgRun<'e> {
             return Ok(d);
         }
         let ast_d = self.ast_digest()?;
-        match self.eng.cache.lookup(key("lower", &[ast_d])) {
+        match self.lookup(Stage::Lower, key("lower", &[ast_d])) {
             Lookup::Memory(Artifact::Ir(ir), d) => {
                 self.states[Stage::Lower.index()] = St::Hit;
                 self.ir = Some(ir);
@@ -1224,7 +1235,7 @@ impl<'e> ProgRun<'e> {
             return Ok(d);
         }
         let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(key("static", &[ir_d])) {
+        match self.lookup(Stage::Static, key("static", &[ir_d])) {
             Lookup::Memory(Artifact::Static(s), d) => {
                 self.states[Stage::Static.index()] = St::Hit;
                 self.statics = Some(s);
@@ -1290,7 +1301,7 @@ impl<'e> ProgRun<'e> {
             return Ok(d);
         }
         let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(key("cu", &[ir_d])) {
+        match self.lookup(Stage::CuBuild, key("cu", &[ir_d])) {
             Lookup::Memory(Artifact::Cus(c), d) => {
                 self.states[Stage::CuBuild.index()] = St::Hit;
                 self.cus = Some(c);
@@ -1414,7 +1425,7 @@ impl<'e> ProgRun<'e> {
             return Ok(d);
         }
         let ir_d = self.ir_digest()?;
-        match self.eng.cache.lookup(self.key_profile(ir_d)) {
+        match self.lookup(Stage::Profile, self.key_profile(ir_d)) {
             Lookup::Memory(Artifact::Profile(p), d) => {
                 self.states[Stage::Profile.index()] = St::Hit;
                 self.prof = Some(p);
@@ -1482,7 +1493,7 @@ impl<'e> ProgRun<'e> {
             return Ok(d);
         }
         let k = self.key_detect()?;
-        match self.eng.cache.lookup(k) {
+        match self.lookup(Stage::Detect, k) {
             Lookup::Memory(Artifact::Analysis(a), d) => {
                 self.states[Stage::Detect.index()] = St::Hit;
                 self.analysis = Some(a);
@@ -1547,7 +1558,7 @@ impl<'e> ProgRun<'e> {
         h.write_u64(stat_d);
         h.write_f64(self.eng.rank_workers);
         let k = h.finish();
-        match self.eng.cache.lookup(k) {
+        match self.lookup(Stage::Rank, k) {
             Lookup::Memory(Artifact::Report(r), _) => {
                 self.states[Stage::Rank.index()] = St::Hit;
                 Ok(r)

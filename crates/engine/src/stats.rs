@@ -13,6 +13,9 @@ use std::time::Duration;
 
 use crate::stage::Stage;
 
+/// JSON string escaping, shared with the diagnostics renderer.
+pub use parpat_static::diag::json_str;
+
 /// Lock-free per-stage counters shared by all worker threads of a batch.
 #[derive(Debug, Default)]
 pub(crate) struct StageCounters {
@@ -374,25 +377,6 @@ pub fn fmt_duration(d: Duration) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -134,7 +134,7 @@ impl LoopStats {
 }
 
 /// Everything a profiled run produced.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileData {
     /// The distinct dynamic dependences observed.
     pub deps: HashSet<Dep>,

@@ -29,8 +29,12 @@
 
 pub mod data;
 pub mod profiler;
+#[cfg(any(test, feature = "reference"))]
+pub mod reference;
 pub mod sanitize;
 
 pub use data::{AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
-pub use profiler::{profile, profile_function, profile_merged, DependenceProfiler};
+pub use profiler::{
+    profile, profile_function, profile_merged, DependenceProfiler, ProfilerCounters,
+};
 pub use sanitize::sanitize_profile;

@@ -15,49 +15,669 @@
 //!
 //! The profiler keys loop context by `(loop id, dynamic instance, iteration)`
 //! so that re-entered inner loops and repeated calls never alias.
+//!
+//! # Layout
+//!
+//! The per-access path touches three private structures and allocates
+//! nothing once they are warm:
+//!
+//! - **Shadow memory** is two dense vectors of cells, one indexed by
+//!   global address and one by `addr - FRAME_REGION_BASE`. Each cell holds
+//!   the last write and last read as `(inst, context node)` pairs, and the
+//!   list of the address's per-loop line records.
+//! - **The context tree** interns every call activation and every loop
+//!   iteration as one `u32` node. A node knows its parent, its call/loop
+//!   chain depth, its innermost iteration node and its loop depth, so
+//!   `classify` and `lift` walk up from the two endpoints only to the
+//!   point where their contexts diverge. Nodes no shadow cell can reach
+//!   any more are collected as the tree grows.
+//! - **Working tables** (dependences, lifted dependences, cross-loop pairs)
+//!   use a fast hasher over program-internal keys.
+//!
+//! All of it is converted into the [`ProfileData`] types once, in
+//! [`DependenceProfiler::into_data`].
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use parpat_ir::event::{AccessKind, MemAccess, Observer};
 use parpat_ir::interp::{run_function, ExecLimits};
+use parpat_ir::lower::FRAME_REGION_BASE;
 use parpat_ir::{FuncId, InstId, IrProgram, LoopId, RuntimeError};
 
-use crate::data::{Dep, DepKind, DepSite, ProfileData};
+use crate::data::{AccessLines, Dep, DepKind, DepSite, LoopStats, ProfileData};
 
-/// One entry of the dynamic loop stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LoopFrame {
+/// Sentinel for "no node / no instruction / no nest".
+const NONE: u32 = u32::MAX;
+
+/// Context-tree size below which unreachable nodes are never collected.
+const COLLECT_FLOOR: usize = 1 << 16;
+
+/// Multiply-rotate hasher for the profiler's working tables. Their keys are
+/// addresses, instruction and loop ids: small integers a program can only
+/// shape through its own array sizes, so the rotation in `finish` brings
+/// the product's well-mixed high bits down to the bucket index.
+#[derive(Default, Clone, Copy)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+
+/// One node of the context tree: a call activation or one iteration of a
+/// dynamic loop instance. The root (node 0) is the entry function's body
+/// outside every loop.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Enclosing context: where the call was made or the loop entered.
+    parent: u32,
+    /// Call/loop chain depth (the root is 0). Iterations of one loop
+    /// instance share it: the chain names the instance, not the iteration.
+    depth: u32,
+    /// Identity of this node's chain frame: one per call activation and per
+    /// loop instance, shared by the instance's iterations.
+    frame: u32,
+    /// The innermost iteration node at or above this node (the root when
+    /// no loop is active).
+    iter_node: u32,
+    /// Number of iteration nodes from the root down to `iter_node`.
+    loop_depth: u32,
+    /// The statement standing for this frame in its enclosing region: the
+    /// call instruction or the loop-header instruction.
+    inst: InstId,
+    /// The loop (iteration nodes only).
     l: LoopId,
-    instance: u64,
+    /// Interned static loop nest of `iter_node` (0, the empty nest,
+    /// outside loops).
+    nest: u32,
+    /// Iteration number (iteration nodes only).
     iter: u64,
 }
 
-/// One entry of the dynamic context chain: a call instruction (with a unique
-/// activation key) or a loop-header instruction (with a unique instance
-/// key). The chain is what lifts raw access-level dependences to
-/// statement-level edges for CU graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChainFrame {
-    inst: InstId,
-    key: u64,
+/// Interned call/loop contexts (see the module docs).
+#[derive(Debug)]
+struct ContextTree {
+    nodes: Vec<Node>,
+    /// Static loop nests: a nest id names the sequence of loop ids on a
+    /// loop stack, and maps to the distinct loops in it (a recursive
+    /// function's loop appears once however deep the recursion).
+    nests: Vec<Box<[LoopId]>>,
+    /// Interning of nests as `(enclosing nest, innermost loop)`.
+    nest_ids: FastMap<(u32, LoopId), u32>,
+    /// The next frame identity (the root's is 0).
+    next_frame: u32,
 }
 
-/// A recorded access: which instruction and under which loop/context it
-/// happened. Context snapshots are shared `Rc` slices: every access between
-/// two loop/call events sees the identical context, so the profiler
-/// materializes it once per context change instead of once per access.
-#[derive(Debug, Clone)]
+impl ContextTree {
+    const ROOT: u32 = 0;
+
+    /// A tree holding only the root, built in `nodes`' allocation.
+    fn new(mut nodes: Vec<Node>) -> Self {
+        let root = Node {
+            parent: Self::ROOT,
+            depth: 0,
+            frame: Self::ROOT,
+            iter_node: Self::ROOT,
+            loop_depth: 0,
+            inst: NONE,
+            l: NONE,
+            nest: 0,
+            iter: 0,
+        };
+        nodes.clear();
+        nodes.push(root);
+        ContextTree {
+            nodes,
+            nests: vec![Box::new([])],
+            nest_ids: FastMap::default(),
+            next_frame: 1,
+        }
+    }
+
+    fn node(&self, id: u32) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn push(&mut self, node: Node) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("context tree exceeds u32 ids");
+        self.nodes.push(node);
+        id
+    }
+
+    fn new_frame(&mut self) -> u32 {
+        let frame = self.next_frame;
+        self.next_frame = frame.checked_add(1).expect("call/loop frames exceed u32 ids");
+        frame
+    }
+
+    /// A call made from context `at` through instruction `inst`.
+    fn enter_call(&mut self, at: u32, inst: InstId) -> u32 {
+        let p = *self.node(at);
+        let frame = self.new_frame();
+        self.push(Node { parent: at, depth: p.depth + 1, frame, inst, ..p })
+    }
+
+    /// Iteration 0 of a new instance of loop `l`, entered from `at`.
+    fn enter_loop(&mut self, at: u32, l: LoopId, head_inst: InstId) -> u32 {
+        let p = *self.node(at);
+        let next_nest = self.nests.len() as u32;
+        let nest = *self.nest_ids.entry((p.nest, l)).or_insert(next_nest);
+        if nest == next_nest {
+            let outer = &self.nests[p.nest as usize];
+            let mut loops = outer.to_vec();
+            if !outer.contains(&l) {
+                loops.push(l);
+            }
+            self.nests.push(loops.into_boxed_slice());
+        }
+        let id = self.nodes.len() as u32;
+        let frame = self.new_frame();
+        self.push(Node {
+            parent: at,
+            depth: p.depth + 1,
+            frame,
+            iter_node: id,
+            loop_depth: p.loop_depth + 1,
+            inst: head_inst,
+            l,
+            nest,
+            iter: 0,
+        })
+    }
+
+    /// Iteration `iter` of the loop instance that iteration node `cur`
+    /// belongs to (`cur` itself when the number is unchanged).
+    fn next_iteration(&mut self, cur: u32, iter: u64) -> u32 {
+        let n = *self.node(cur);
+        if n.iter == iter {
+            return cur;
+        }
+        let id = self.nodes.len() as u32;
+        self.push(Node { iter_node: id, iter, ..n })
+    }
+
+    /// Drop the nodes that neither `roots` nor an ancestor of one reach,
+    /// renumber the rest in order (a parent keeps a smaller id than its
+    /// children), and return the new id of every old one (`NONE` when
+    /// dropped).
+    fn collect(&mut self, roots: impl Iterator<Item = u32>) -> Vec<u32> {
+        let mut live = vec![false; self.nodes.len()];
+        live[Self::ROOT as usize] = true;
+        for mut n in roots {
+            while !live[n as usize] {
+                live[n as usize] = true;
+                n = self.node(n).parent;
+            }
+        }
+        let mut new_id = vec![NONE; self.nodes.len()];
+        let mut kept = 0;
+        for old in 0..self.nodes.len() {
+            if live[old] {
+                new_id[old] = kept;
+                let mut n = self.nodes[old];
+                n.parent = new_id[n.parent as usize];
+                n.iter_node = new_id[n.iter_node as usize];
+                self.nodes[kept as usize] = n;
+                kept += 1;
+            }
+        }
+        self.nodes.truncate(kept as usize);
+        new_id
+    }
+
+    /// The iteration node one loop level above iteration node `i`.
+    fn iter_parent(&self, i: u32) -> u32 {
+        self.node(self.node(i).parent).iter_node
+    }
+
+    /// Classify a dependence from the contexts of its two endpoints: the
+    /// loop stacks are compared from the outermost frame down, at the first
+    /// frame where they differ. Returns the site and, for cross-loop
+    /// dependences, the `(i_x, i_y)` iteration pair at that frame.
+    fn classify(&self, src: u32, sink: u32) -> (DepSite, Option<(u64, u64)>) {
+        if src == sink {
+            return (DepSite::Intra, None);
+        }
+        let (mut x, mut y) = (self.node(src).iter_node, self.node(sink).iter_node);
+        if x == y {
+            return (DepSite::Intra, None);
+        }
+        let (dx, dy) = (self.node(x).loop_depth, self.node(y).loop_depth);
+        for _ in dy..dx {
+            x = self.iter_parent(x);
+        }
+        for _ in dx..dy {
+            y = self.iter_parent(y);
+        }
+        if x == y {
+            // One loop stack is a proper prefix of the other.
+            return (DepSite::OutsideLoop, None);
+        }
+        while self.iter_parent(x) != self.iter_parent(y) {
+            x = self.iter_parent(x);
+            y = self.iter_parent(y);
+        }
+        let (fx, fy) = (self.node(x), self.node(y));
+        if fx.l != fy.l {
+            (DepSite::CrossLoop { x: fx.l, y: fy.l }, Some((fx.iter, fy.iter)))
+        } else if fx.frame != fy.frame {
+            (DepSite::CrossInstance { l: fx.l }, None)
+        } else {
+            let distance = fy.iter.saturating_sub(fx.iter).max(1);
+            (DepSite::Carried { l: fx.l, distance }, None)
+        }
+    }
+
+    /// Lift a dependence between two dynamic accesses to statement level:
+    /// walk the two call/loop chains until they diverge; the diverging
+    /// frames (or, where a chain has ended, the access instruction itself)
+    /// are two statements of the same region.
+    fn lift(&self, src: u32, src_inst: InstId, sink: u32, sink_inst: InstId) -> (InstId, InstId) {
+        let frame = |n: u32| self.node(n).frame;
+        if src == sink || frame(src) == frame(sink) {
+            return (src_inst, sink_inst);
+        }
+        let (mut x, mut y) = (src, sink);
+        let (dx, dy) = (self.node(x).depth, self.node(y).depth);
+        if dx > dy {
+            for _ in dy + 1..dx {
+                x = self.node(x).parent;
+            }
+            let px = self.node(x).parent;
+            if frame(px) == frame(y) {
+                return (self.node(x).inst, sink_inst);
+            }
+            x = px;
+        } else if dy > dx {
+            for _ in dx + 1..dy {
+                y = self.node(y).parent;
+            }
+            let py = self.node(y).parent;
+            if frame(py) == frame(x) {
+                return (src_inst, self.node(y).inst);
+            }
+            y = py;
+        }
+        while frame(self.node(x).parent) != frame(self.node(y).parent) {
+            x = self.node(x).parent;
+            y = self.node(y).parent;
+        }
+        (self.node(x).inst, self.node(y).inst)
+    }
+}
+
+/// A recorded access: the instruction (`NONE` when nothing was recorded)
+/// and the context node it executed under.
+#[derive(Debug, Clone, Copy)]
 struct AccessRec {
     inst: InstId,
-    stack: Rc<[LoopFrame]>,
-    chain: Rc<[ChainFrame]>,
+    ctx: u32,
 }
 
-#[derive(Debug, Default)]
+impl AccessRec {
+    const EMPTY: AccessRec = AccessRec { inst: NONE, ctx: NONE };
+}
+
+/// Shadow state of one address.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    last_write: AccessRec,
+    last_read: AccessRec,
+    /// `(inst, nest)` of the last read and write whose source lines were
+    /// noted for this address: an access repeating them would insert the
+    /// same lines into the same records, so it skips the line tables.
+    noted_read: u64,
+    noted_write: u64,
+    /// Head of this address's list of line records, one per loop that
+    /// accessed it (`NONE` when empty).
+    lines: u32,
+}
+
+impl Cell {
+    const EMPTY: Cell = Cell {
+        last_write: AccessRec::EMPTY,
+        last_read: AccessRec::EMPTY,
+        noted_read: u64::MAX,
+        noted_write: u64::MAX,
+        lines: NONE,
+    };
+}
+
+/// Dense shadow memory: globals live in `0..`, frames above
+/// [`FRAME_REGION_BASE`], and neither range is reused, so each region is a
+/// vector grown to the highest address touched.
+#[derive(Debug)]
 struct Shadow {
-    last_write: Option<AccessRec>,
-    last_read: Option<AccessRec>,
+    globals: Vec<Cell>,
+    frames: Vec<Cell>,
+    /// Size of the global region (the vector never grows past it).
+    global_cells: usize,
+}
+
+impl Shadow {
+    /// Empty shadow memory for `prog`, built in the given allocations.
+    fn new(prog: &IrProgram, mut globals: Vec<Cell>, mut frames: Vec<Cell>) -> Self {
+        globals.clear();
+        frames.clear();
+        let global_cells = prog.globals.iter().map(|g| g.len()).sum();
+        Shadow { globals, frames, global_cells }
+    }
+
+    fn cell(&mut self, addr: u64) -> &mut Cell {
+        let (cells, i, cap) = match addr.checked_sub(FRAME_REGION_BASE) {
+            None => (&mut self.globals, addr as usize, self.global_cells),
+            Some(off) => (&mut self.frames, off as usize, usize::MAX),
+        };
+        if i >= cells.len() {
+            Self::grow(cells, i, cap);
+        }
+        &mut cells[i]
+    }
+
+    #[cold]
+    fn grow(cells: &mut Vec<Cell>, i: usize, cap: usize) {
+        let len = (cells.len() * 2).max(64).min(cap).max(i + 1);
+        cells.resize(len, Cell::EMPTY);
+    }
+
+    fn len(&self) -> usize {
+        self.globals.len() + self.frames.len()
+    }
+
+    /// Every allocated cell with its address, in increasing address order.
+    fn cells(&self) -> impl Iterator<Item = (u64, &Cell)> {
+        let globals = (0..).zip(&self.globals);
+        globals.chain((FRAME_REGION_BASE..).zip(&self.frames))
+    }
+}
+
+/// The source lines of one access kind in a record: the first inline,
+/// any further ones as a list in [`LineTable::more`].
+#[derive(Debug, Clone, Copy)]
+struct Lines {
+    first: u32,
+    more: u32,
+}
+
+impl Lines {
+    const EMPTY: Lines = Lines { first: NONE, more: NONE };
+}
+
+/// Working form of one `loop_access_lines` entry, linked into the list of
+/// its address's shadow cell.
+#[derive(Debug, Clone, Copy)]
+struct LineRec {
+    l: LoopId,
+    /// Next record of the same address.
+    next: u32,
+    read_lines: Lines,
+    write_lines: Lines,
+    /// First access with a variable name; resolved in `into_data`.
+    name_inst: InstId,
+    inter_iteration: bool,
+    rewritten: bool,
+}
+
+/// Per-(loop, address) line records, reached from the address's shadow
+/// cell: an address is accessed by few distinct loops, so finding its
+/// record for a loop is a walk of a short list, with no hashing.
+#[derive(Debug)]
+struct LineTable {
+    recs: Vec<LineRec>,
+    /// `(line, next)` list cells of the lines beyond a record's first of
+    /// each kind.
+    more: Vec<(u32, u32)>,
+    /// Per instruction, the `(address, nest)` it last noted.
+    inst_noted: Vec<(u64, u32)>,
+}
+
+impl LineTable {
+    /// An empty table for a program of `insts` instructions, built in
+    /// `recs`' allocation.
+    fn new(mut recs: Vec<LineRec>, insts: usize) -> Self {
+        recs.clear();
+        LineTable { recs, more: Vec::new(), inst_noted: vec![(u64::MAX, NONE); insts] }
+    }
+
+    /// Note the access's source line in every loop of the static nest
+    /// `loops`. The same instruction (hence line) on the same address under
+    /// the same loops inserts nothing new, so the note is skipped when the
+    /// cell's last noted `(inst, nest)` for this access kind, or the
+    /// instruction's last noted `(address, nest)`, repeats.
+    fn note(
+        &mut self,
+        prog: &IrProgram,
+        cell: &mut Cell,
+        access: &MemAccess,
+        nest: u32,
+        loops: &[LoopId],
+    ) {
+        let key = (u64::from(access.inst) << 32) | u64::from(nest);
+        let noted = match access.kind {
+            AccessKind::Read => &mut cell.noted_read,
+            AccessKind::Write => &mut cell.noted_write,
+        };
+        let by_inst = &mut self.inst_noted[access.inst as usize];
+        if loops.is_empty() || *noted == key || *by_inst == (access.addr, nest) {
+            return;
+        }
+        *noted = key;
+        *by_inst = (access.addr, nest);
+        debug_assert_eq!(access.line, prog.insts[access.inst as usize].line);
+        let named = || if has_var_name(prog, access.inst) { access.inst } else { NONE };
+        for &l in loops {
+            let i = match self.find(cell.lines, l) {
+                Some(i) => i,
+                None => {
+                    let i = u32::try_from(self.recs.len()).expect("line records exceed u32 ids");
+                    self.recs.push(LineRec {
+                        l,
+                        next: cell.lines,
+                        read_lines: Lines::EMPTY,
+                        write_lines: Lines::EMPTY,
+                        name_inst: named(),
+                        inter_iteration: false,
+                        rewritten: false,
+                    });
+                    cell.lines = i;
+                    i
+                }
+            };
+            let rec = &mut self.recs[i as usize];
+            if rec.name_inst == NONE {
+                rec.name_inst = named();
+            }
+            let lines = match access.kind {
+                AccessKind::Read => &mut rec.read_lines,
+                AccessKind::Write => &mut rec.write_lines,
+            };
+            if lines.first == NONE {
+                lines.first = access.line;
+            } else if lines.first != access.line
+                && !further(&self.more, *lines).any(|line| line == access.line)
+            {
+                self.more.push((access.line, lines.more));
+                lines.more = (self.more.len() - 1) as u32;
+            }
+        }
+    }
+
+    /// All lines of `lines` as a set.
+    fn set(&self, lines: Lines) -> BTreeSet<u32> {
+        let mut set = BTreeSet::new();
+        if lines.first != NONE {
+            set.insert(lines.first);
+            set.extend(further(&self.more, lines));
+        }
+        set
+    }
+
+    /// The record of loop `l` in the list starting at `head`.
+    fn find(&self, mut head: u32, l: LoopId) -> Option<u32> {
+        while head != NONE {
+            let rec = &self.recs[head as usize];
+            if rec.l == l {
+                return Some(head);
+            }
+            head = rec.next;
+        }
+        None
+    }
+
+    fn get_mut(&mut self, head: u32, l: LoopId) -> Option<&mut LineRec> {
+        let i = self.find(head, l)?;
+        Some(&mut self.recs[i as usize])
+    }
+
+    /// The `loop_access_lines` table. Walking the shadow in address order
+    /// yields each loop's entries already sorted, so every map is
+    /// bulk-built.
+    fn loop_access_lines(
+        &self,
+        prog: &IrProgram,
+        shadow: &Shadow,
+    ) -> HashMap<LoopId, BTreeMap<u64, AccessLines>> {
+        let mut counts = vec![0; prog.loop_count()];
+        for rec in &self.recs {
+            counts[rec.l as usize] += 1;
+        }
+        let mut by_loop: Vec<Vec<(u64, AccessLines)>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for (addr, cell) in shadow.cells() {
+            let mut i = cell.lines;
+            while i != NONE {
+                let rec = self.recs[i as usize];
+                i = rec.next;
+                let name = (rec.name_inst != NONE).then(|| var_name_of(prog, rec.name_inst));
+                let lines = AccessLines {
+                    write_lines: self.set(rec.write_lines),
+                    read_lines: self.set(rec.read_lines),
+                    var_name: name.unwrap_or_default(),
+                    inter_iteration: rec.inter_iteration,
+                    rewritten: rec.rewritten,
+                };
+                by_loop[rec.l as usize].push((addr, lines));
+            }
+        }
+        (0..)
+            .zip(by_loop)
+            .filter(|(_, entries)| !entries.is_empty())
+            .map(|(l, entries)| (l, entries.into_iter().collect()))
+            .collect()
+    }
+}
+
+/// The lines of `lines` after its first, from the list cells `more`.
+fn further(more: &[(u32, u32)], lines: Lines) -> impl Iterator<Item = u32> + '_ {
+    let mut i = lines.more;
+    std::iter::from_fn(move || {
+        let &(line, next) = (i != NONE).then(|| &more[i as usize])?;
+        i = next;
+        Some(line)
+    })
+}
+
+/// Name of the variable or array an access instruction touches;
+/// parameter-initialization stores are attributed to the call instruction.
+fn var_name_of(prog: &IrProgram, inst: InstId) -> String {
+    let kind = &prog.insts[inst as usize].kind;
+    match kind.touched_name() {
+        Some(n) => n.to_owned(),
+        None => match kind {
+            parpat_ir::InstKind::Call(callee) => format!("<args of {callee}>"),
+            _ => String::new(),
+        },
+    }
+}
+
+/// Whether [`var_name_of`] is non-empty, without building the name.
+fn has_var_name(prog: &IrProgram, inst: InstId) -> bool {
+    let kind = &prog.insts[inst as usize].kind;
+    match kind.touched_name() {
+        Some(n) => !n.is_empty(),
+        None => matches!(kind, parpat_ir::InstKind::Call(_)),
+    }
+}
+
+/// Work counters of one profiled run: the figures that explain the
+/// profiler's cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfilerCounters {
+    /// Memory accesses observed.
+    pub accesses: u64,
+    /// Shadow cells allocated (both regions).
+    pub shadow_cells: u64,
+    /// Live context-tree nodes (calls, loop iterations and the root).
+    pub context_nodes: u64,
+    /// Dependence inserts attempted (one per RAW/WAR/WAW found).
+    pub dep_inserts: u64,
+    /// Distinct dependences those inserts produced.
+    pub distinct_deps: u64,
+}
+
+/// Working buffers a finished profiler leaves to the next one on its
+/// thread. A batch profiles program after program; reusing the buffers
+/// keeps their pages mapped instead of faulting fresh ones in every run.
+#[derive(Default)]
+struct Spare {
+    nodes: Vec<Node>,
+    globals: Vec<Cell>,
+    frames: Vec<Cell>,
+    recs: Vec<LineRec>,
+}
+
+impl Spare {
+    /// Largest buffer set kept for reuse.
+    const MAX_BYTES: usize = 64 << 20;
+
+    fn bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + (self.globals.capacity() + self.frames.capacity()) * std::mem::size_of::<Cell>()
+            + self.recs.capacity() * std::mem::size_of::<LineRec>()
+    }
+}
+
+/// A dependence and its statement-level lift.
+type LastDep = Option<(Dep, (InstId, InstId))>;
+
+thread_local! {
+    static SPARE: RefCell<Spare> = RefCell::default();
 }
 
 /// The profiling observer. Drive it through [`profile`] /
@@ -65,278 +685,265 @@ struct Shadow {
 /// [`DependenceProfiler::into_data`] afterwards.
 pub struct DependenceProfiler<'p> {
     prog: &'p IrProgram,
-    data: ProfileData,
-    shadow: HashMap<u64, Shadow>,
-    loop_stack: Vec<LoopFrame>,
-    /// Interleaved call/loop context chain (see [`ChainFrame`]).
-    chain: Vec<ChainFrame>,
-    /// Whether each active function pushed a chain frame (the entry call
+    tree: ContextTree,
+    /// The current context node.
+    cur: u32,
+    /// Tree size that triggers the next collection of unreachable nodes,
+    /// and the least it is ever set to.
+    collect_at: usize,
+    collect_floor: usize,
+    /// Whether each active function pushed a call node (the entry call
     /// does not).
-    chain_pushed: Vec<bool>,
+    call_pushed: Vec<bool>,
+    shadow: Shadow,
+    lines: LineTable,
+    deps: FastSet<Dep>,
+    region_deps: FastSet<(InstId, InstId, DepKind)>,
+    /// Per sink instruction and dependence kind, the last dependence and
+    /// lift inserted: a repeat skips both table inserts.
+    last_dep: Vec<[LastDep; 3]>,
+    /// First `(i_x, i_y)` pair per `(x, y, address)`.
+    cross_loop_pairs: FastMap<(LoopId, LoopId, u64), (u64, u64)>,
+    /// Indexed by loop id; a loop was entered iff its `first_entry` is set.
+    loop_stats: Vec<LoopStats>,
+    inst_counts: Vec<u64>,
+    /// Sequence number shared by loop entries and calls (orders loops in
+    /// time for `LoopStats::first_entry`).
     next_instance: u64,
-    /// Memoized `Rc` copies of the current stacks, rebuilt only after a
-    /// loop/call event changes them.
-    cached_stack: Option<Rc<[LoopFrame]>>,
-    cached_chain: Option<Rc<[ChainFrame]>>,
+    accesses: u64,
+    dep_inserts: u64,
 }
 
 impl<'p> DependenceProfiler<'p> {
     /// Create a profiler for `prog`.
     pub fn new(prog: &'p IrProgram) -> Self {
-        let mut data = ProfileData::new(prog.inst_count());
-        data.runs = 1;
+        let spare = SPARE.with(RefCell::take);
         DependenceProfiler {
             prog,
-            data,
-            shadow: HashMap::new(),
-            loop_stack: Vec::new(),
-            chain: Vec::new(),
-            chain_pushed: Vec::new(),
+            tree: ContextTree::new(spare.nodes),
+            cur: ContextTree::ROOT,
+            collect_at: COLLECT_FLOOR,
+            collect_floor: COLLECT_FLOOR,
+            call_pushed: Vec::new(),
+            shadow: Shadow::new(prog, spare.globals, spare.frames),
+            lines: LineTable::new(spare.recs, prog.inst_count()),
+            deps: FastSet::default(),
+            region_deps: FastSet::default(),
+            last_dep: vec![[None; 3]; prog.inst_count()],
+            cross_loop_pairs: FastMap::default(),
+            loop_stats: vec![LoopStats::default(); prog.loop_count()],
+            inst_counts: vec![0; prog.inst_count()],
             next_instance: 0,
-            cached_stack: None,
-            cached_chain: None,
+            accesses: 0,
+            dep_inserts: 0,
+        }
+    }
+
+    /// Work counters so far.
+    pub fn counters(&self) -> ProfilerCounters {
+        ProfilerCounters {
+            accesses: self.accesses,
+            shadow_cells: self.shadow.len() as u64,
+            context_nodes: self.tree.nodes.len() as u64,
+            dep_inserts: self.dep_inserts,
+            distinct_deps: self.deps.len() as u64,
         }
     }
 
     /// Consume the profiler and return the collected data.
     pub fn into_data(self) -> ProfileData {
-        self.data
-    }
-
-    fn snapshot(&mut self) -> Rc<[LoopFrame]> {
-        if let Some(s) = &self.cached_stack {
-            return Rc::clone(s);
+        let DependenceProfiler {
+            prog,
+            tree,
+            shadow,
+            lines,
+            deps,
+            region_deps,
+            cross_loop_pairs,
+            loop_stats,
+            inst_counts,
+            ..
+        } = self;
+        let loop_access_lines = lines.loop_access_lines(prog, &shadow);
+        let spare = Spare {
+            nodes: tree.nodes,
+            globals: shadow.globals,
+            frames: shadow.frames,
+            recs: lines.recs,
+        };
+        if spare.bytes() <= Spare::MAX_BYTES {
+            SPARE.with(|s| *s.borrow_mut() = spare);
         }
-        let s: Rc<[LoopFrame]> = self.loop_stack.as_slice().into();
-        self.cached_stack = Some(Rc::clone(&s));
-        s
-    }
-
-    fn chain_snapshot(&mut self) -> Rc<[ChainFrame]> {
-        if let Some(c) = &self.cached_chain {
-            return Rc::clone(c);
+        let mut sizes: FastMap<(LoopId, LoopId), usize> = FastMap::default();
+        for &(x, y, _) in cross_loop_pairs.keys() {
+            *sizes.entry((x, y)).or_default() += 1;
         }
-        let c: Rc<[ChainFrame]> = self.chain.as_slice().into();
-        self.cached_chain = Some(Rc::clone(&c));
-        c
-    }
-
-    /// Invalidate the memoized snapshots after a context change.
-    fn invalidate_snapshots(&mut self) {
-        self.cached_stack = None;
-        self.cached_chain = None;
-    }
-
-    /// Lift a dependence between two dynamic accesses to statement level:
-    /// walk the two context chains until they diverge; the diverging frames
-    /// (or, where a chain has ended, the access instruction itself) are two
-    /// statements of the same region.
-    fn lift(
-        a_chain: &[ChainFrame],
-        a_inst: InstId,
-        b_chain: &[ChainFrame],
-        b_inst: InstId,
-    ) -> (InstId, InstId) {
-        let mut d = 0;
-        loop {
-            match (a_chain.get(d), b_chain.get(d)) {
-                (Some(fa), Some(fb)) => {
-                    if fa != fb {
-                        return (fa.inst, fb.inst);
-                    }
-                    d += 1;
-                }
-                (Some(fa), None) => return (fa.inst, b_inst),
-                (None, Some(fb)) => return (a_inst, fb.inst),
-                (None, None) => return (a_inst, b_inst),
+        let mut pairs: HashMap<(LoopId, LoopId), HashMap<u64, (u64, u64)>> =
+            sizes.into_iter().map(|(k, n)| (k, HashMap::with_capacity(n))).collect();
+        for ((x, y, addr), pair) in cross_loop_pairs {
+            if let Some(m) = pairs.get_mut(&(x, y)) {
+                m.insert(addr, pair);
             }
         }
-    }
-
-    /// Classify a dependence from the loop contexts of its two endpoints.
-    /// Returns the site and, for cross-loop dependences, the `(i_x, i_y)`
-    /// iteration pair at the diverging depth.
-    fn classify(w: &[LoopFrame], r: &[LoopFrame]) -> (DepSite, Option<(u64, u64)>) {
-        let depth = w.len().max(r.len());
-        for d in 0..depth {
-            match (w.get(d), r.get(d)) {
-                (Some(wf), Some(rf)) => {
-                    if wf.l != rf.l {
-                        return (DepSite::CrossLoop { x: wf.l, y: rf.l }, Some((wf.iter, rf.iter)));
-                    }
-                    if wf.instance != rf.instance {
-                        return (DepSite::CrossInstance { l: wf.l }, None);
-                    }
-                    if wf.iter != rf.iter {
-                        let distance = rf.iter.saturating_sub(wf.iter).max(1);
-                        return (DepSite::Carried { l: wf.l, distance }, None);
-                    }
-                }
-                _ => return (DepSite::OutsideLoop, None),
-            }
-        }
-        (DepSite::Intra, None)
-    }
-
-    fn var_name_of(&self, inst: InstId) -> String {
-        let kind = &self.prog.insts[inst as usize].kind;
-        match kind.touched_name() {
-            Some(n) => n.to_owned(),
-            // Parameter-initialization stores are attributed to the call
-            // instruction.
-            None => match kind {
-                parpat_ir::InstKind::Call(callee) => format!("<args of {callee}>"),
-                _ => String::new(),
-            },
+        ProfileData {
+            deps: deps.into_iter().collect(),
+            loop_access_lines,
+            cross_loop_pairs: pairs,
+            loop_stats: (0..).zip(loop_stats).filter(|(_, s)| s.first_entry != u64::MAX).collect(),
+            region_deps: region_deps.into_iter().collect(),
+            total_insts: inst_counts.iter().sum(),
+            inst_counts,
+            runs: 1,
         }
     }
 
-    fn note_access_lines(&mut self, access: &MemAccess) {
-        if self.loop_stack.is_empty() {
-            return;
-        }
-        let name = self.var_name_of(access.inst);
-        for frame in &self.loop_stack {
-            let entry = self
-                .data
-                .loop_access_lines
-                .entry(frame.l)
-                .or_default()
-                .entry(access.addr)
-                .or_default();
-            match access.kind {
-                AccessKind::Read => {
-                    entry.read_lines.insert(access.line);
-                }
-                AccessKind::Write => {
-                    entry.write_lines.insert(access.line);
-                }
-            }
-            if entry.var_name.is_empty() {
-                entry.var_name = name.clone();
+    /// Drop the context nodes that neither a shadow cell's record nor the
+    /// current context can reach. A node is created per loop iteration, so
+    /// without this a long loop would hold memory in proportion to its
+    /// iteration count; with it, in proportion to the addresses touched.
+    /// Runs each time the tree doubles past its size after the last run,
+    /// and not before it has grown by the shadow's size, so that scanning
+    /// the shadow costs at most a constant per node created.
+    fn collect(&mut self) {
+        let recs = self.shadow.cells().flat_map(|(_, c)| [c.last_write, c.last_read]);
+        let roots = recs.filter(|r| r.inst != NONE).map(|r| r.ctx);
+        let new_id = self.tree.collect(roots.chain([self.cur]));
+        let cells = self.shadow.globals.iter_mut().chain(&mut self.shadow.frames);
+        for rec in cells.flat_map(|c| [&mut c.last_write, &mut c.last_read]) {
+            if rec.inst != NONE {
+                rec.ctx = new_id[rec.ctx as usize];
             }
         }
+        self.cur = new_id[self.cur as usize];
+        let live = self.tree.nodes.len();
+        self.collect_at = (2 * live).max(live + self.shadow.len()).max(self.collect_floor);
+    }
+
+    /// Enter context node `node`, collecting the tree first if it is due.
+    fn set_cur(&mut self, node: u32) {
+        self.cur = node;
+        if self.tree.nodes.len() >= self.collect_at {
+            self.collect();
+        }
+    }
+
+    /// Record the dependence `src → (sink_inst, sink_ctx)` and its
+    /// statement-level lift; returns the classification.
+    fn dep(
+        &mut self,
+        src: AccessRec,
+        sink_inst: InstId,
+        sink_ctx: u32,
+        kind: DepKind,
+    ) -> (DepSite, Option<(u64, u64)>) {
+        let (site, pair) = self.tree.classify(src.ctx, sink_ctx);
+        let dep = Dep { src: src.inst, sink: sink_inst, kind, site };
+        let lifted = self.tree.lift(src.ctx, src.inst, sink_ctx, sink_inst);
+        self.dep_inserts += 1;
+        let last = &mut self.last_dep[sink_inst as usize][kind as usize];
+        if *last != Some((dep, lifted)) {
+            *last = Some((dep, lifted));
+            self.deps.insert(dep);
+            self.region_deps.insert((lifted.0, lifted.1, kind));
+        }
+        (site, pair)
     }
 
     fn on_read(&mut self, access: MemAccess) {
-        self.note_access_lines(&access);
-        let snapshot = self.snapshot();
-        let chain = self.chain_snapshot();
-        let shadow = self.shadow.entry(access.addr).or_default();
-        if let Some(w) = &shadow.last_write {
-            let (site, iter_pair) = Self::classify(&w.stack, &snapshot);
-            self.data.deps.insert(Dep { src: w.inst, sink: access.inst, kind: DepKind::Raw, site });
-            let (src, sink) = Self::lift(&w.chain, w.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::Raw));
-            if let (DepSite::CrossLoop { x, y }, Some((ix, iy))) = (site, iter_pair) {
+        let ctx = self.cur;
+        let nest = self.tree.node(ctx).nest;
+        let cell = self.shadow.cell(access.addr);
+        self.lines.note(self.prog, cell, &access, nest, &self.tree.nests[nest as usize]);
+        let (w, lines) = (cell.last_write, cell.lines);
+        cell.last_read = AccessRec { inst: access.inst, ctx };
+        if w.inst == NONE {
+            return;
+        }
+        match self.dep(w, access.inst, ctx, DepKind::Raw) {
+            (DepSite::CrossLoop { x, y }, Some(pair)) => {
                 // First read wins; the shadow write is by construction the
                 // last write before it.
-                self.data
-                    .cross_loop_pairs
-                    .entry((x, y))
-                    .or_default()
-                    .entry(access.addr)
-                    .or_insert((ix, iy));
+                self.cross_loop_pairs.entry((x, y, access.addr)).or_insert(pair);
             }
-            if let DepSite::Carried { l, .. } = site {
-                if let Some(e) =
-                    self.data.loop_access_lines.get_mut(&l).and_then(|m| m.get_mut(&access.addr))
-                {
-                    e.inter_iteration = true;
+            (DepSite::Carried { l, .. }, _) => {
+                if let Some(rec) = self.lines.get_mut(lines, l) {
+                    rec.inter_iteration = true;
                 }
             }
+            _ => {}
         }
-        shadow.last_read = Some(AccessRec { inst: access.inst, stack: snapshot, chain });
     }
 
     fn on_write(&mut self, access: MemAccess) {
-        self.note_access_lines(&access);
-        let snapshot = self.snapshot();
-        let chain = self.chain_snapshot();
-        let shadow = self.shadow.entry(access.addr).or_default();
-        if let Some(r) = shadow.last_read.take() {
-            let (site, _) = Self::classify(&r.stack, &snapshot);
-            self.data.deps.insert(Dep { src: r.inst, sink: access.inst, kind: DepKind::War, site });
-            let (src, sink) = Self::lift(&r.chain, r.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::War));
+        let ctx = self.cur;
+        let nest = self.tree.node(ctx).nest;
+        let cell = self.shadow.cell(access.addr);
+        self.lines.note(self.prog, cell, &access, nest, &self.tree.nests[nest as usize]);
+        let (r, w, lines) = (cell.last_read, cell.last_write, cell.lines);
+        cell.last_read = AccessRec::EMPTY;
+        cell.last_write = AccessRec { inst: access.inst, ctx };
+        if r.inst != NONE {
+            self.dep(r, access.inst, ctx, DepKind::War);
         }
-        if let Some(w) = &shadow.last_write {
-            let (site, _) = Self::classify(&w.stack, &snapshot);
-            self.data.deps.insert(Dep { src: w.inst, sink: access.inst, kind: DepKind::Waw, site });
-            let (src, sink) = Self::lift(&w.chain, w.inst, &chain, access.inst);
-            self.data.region_deps.insert((src, sink, DepKind::Waw));
-            if let DepSite::Carried { l, .. } = site {
-                if let Some(e) =
-                    self.data.loop_access_lines.get_mut(&l).and_then(|m| m.get_mut(&access.addr))
-                {
-                    e.rewritten = true;
+        if w.inst != NONE {
+            if let (DepSite::Carried { l, .. }, _) = self.dep(w, access.inst, ctx, DepKind::Waw) {
+                if let Some(rec) = self.lines.get_mut(lines, l) {
+                    rec.rewritten = true;
                 }
             }
         }
-        shadow.last_write = Some(AccessRec { inst: access.inst, stack: snapshot, chain });
     }
 }
 
 impl Observer for DependenceProfiler<'_> {
-    fn enter_function(
-        &mut self,
-        _func: parpat_ir::FuncId,
-        call_inst: Option<InstId>,
-        _is_recursive: bool,
-    ) {
-        self.invalidate_snapshots();
+    fn enter_function(&mut self, _func: FuncId, call_inst: Option<InstId>, _is_recursive: bool) {
         match call_inst {
             Some(inst) => {
-                let key = self.next_instance;
                 self.next_instance += 1;
-                self.chain.push(ChainFrame { inst, key });
-                self.chain_pushed.push(true);
+                let node = self.tree.enter_call(self.cur, inst);
+                self.set_cur(node);
+                self.call_pushed.push(true);
             }
-            None => self.chain_pushed.push(false),
+            None => self.call_pushed.push(false),
         }
     }
 
-    fn exit_function(&mut self, _func: parpat_ir::FuncId) {
-        if self.chain_pushed.pop().expect("exit_function without enter") {
-            self.chain.pop();
-            self.invalidate_snapshots();
+    fn exit_function(&mut self, _func: FuncId) {
+        if self.call_pushed.pop().expect("exit_function without enter") {
+            self.cur = self.tree.node(self.cur).parent;
         }
     }
 
     fn enter_loop(&mut self, l: LoopId) {
-        self.invalidate_snapshots();
         let instance = self.next_instance;
         self.next_instance += 1;
-        let stats = self.data.loop_stats.entry(l).or_default();
+        let stats = &mut self.loop_stats[l as usize];
         stats.first_entry = stats.first_entry.min(instance);
-        self.loop_stack.push(LoopFrame { l, instance, iter: 0 });
-        self.chain.push(ChainFrame { inst: self.prog.loops[l as usize].head_inst, key: instance });
+        let node = self.tree.enter_loop(self.cur, l, self.prog.loops[l as usize].head_inst);
+        self.set_cur(node);
     }
 
     fn loop_iteration(&mut self, l: LoopId, iter: u64) {
-        self.invalidate_snapshots();
-        let top = self.loop_stack.last_mut().expect("loop_iteration outside loop");
-        debug_assert_eq!(top.l, l);
-        top.iter = iter;
+        debug_assert_eq!(self.tree.node(self.cur).l, l);
+        let node = self.tree.next_iteration(self.cur, iter);
+        self.set_cur(node);
     }
 
     fn exit_loop(&mut self, l: LoopId, iterations: u64) {
-        self.invalidate_snapshots();
-        let top = self.loop_stack.pop().expect("exit_loop without enter");
-        debug_assert_eq!(top.l, l);
-        self.chain.pop();
-        let stats = self.data.loop_stats.entry(l).or_default();
+        debug_assert_eq!(self.tree.node(self.cur).l, l);
+        self.cur = self.tree.node(self.cur).parent;
+        let stats = &mut self.loop_stats[l as usize];
         stats.executions += 1;
         stats.total_iterations += iterations;
         stats.max_iterations = stats.max_iterations.max(iterations);
     }
 
     fn instruction(&mut self, inst: InstId) {
-        self.data.inst_counts[inst as usize] += 1;
-        self.data.total_insts += 1;
+        self.inst_counts[inst as usize] += 1;
     }
 
     fn memory(&mut self, access: MemAccess) {
+        self.accesses += 1;
         match access.kind {
             AccessKind::Read => self.on_read(access),
             AccessKind::Write => self.on_write(access),
@@ -387,6 +994,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::reference::{ChainFrame, LoopFrame, ReferenceProfiler};
     use parpat_ir::compile;
 
     fn profile_src(src: &str) -> (ProfileData, parpat_ir::IrProgram) {
@@ -724,5 +1332,287 @@ fn main() { fib(8); }";
         let (data, _) = profile_src("fn main() { let s = 0; for i in 0..5 { s += i; } }");
         assert_eq!(data.inst_counts.iter().sum::<u64>(), data.total_insts);
         assert!(data.total_insts > 0);
+    }
+
+    /// Feeds one run to the optimized and the reference profiler and
+    /// records, at every access, the optimized profiler's context node
+    /// next to the reference's loop stack and context chain.
+    struct Lockstep<'p> {
+        new: DependenceProfiler<'p>,
+        old: ReferenceProfiler<'p>,
+        seen: Vec<(u32, InstId, Vec<LoopFrame>, Vec<ChainFrame>)>,
+    }
+
+    impl Observer for Lockstep<'_> {
+        fn enter_function(&mut self, f: FuncId, call: Option<InstId>, rec: bool) {
+            self.new.enter_function(f, call, rec);
+            self.old.enter_function(f, call, rec);
+        }
+
+        fn exit_function(&mut self, f: FuncId) {
+            self.new.exit_function(f);
+            self.old.exit_function(f);
+        }
+
+        fn enter_loop(&mut self, l: LoopId) {
+            self.new.enter_loop(l);
+            self.old.enter_loop(l);
+        }
+
+        fn loop_iteration(&mut self, l: LoopId, iter: u64) {
+            self.new.loop_iteration(l, iter);
+            self.old.loop_iteration(l, iter);
+        }
+
+        fn exit_loop(&mut self, l: LoopId, iterations: u64) {
+            self.new.exit_loop(l, iterations);
+            self.old.exit_loop(l, iterations);
+        }
+
+        fn instruction(&mut self, inst: InstId) {
+            self.new.instruction(inst);
+            self.old.instruction(inst);
+        }
+
+        fn memory(&mut self, access: MemAccess) {
+            let (stack, chain) = self.old.context();
+            self.seen.push((self.new.cur, access.inst, stack, chain));
+            self.new.memory(access);
+            self.old.memory(access);
+        }
+    }
+
+    /// Check the context tree's `classify` and `lift` against the
+    /// reference's slice-based functions on every ordered pair of accesses
+    /// of `src`'s run, check the two profiles are equal, and return the
+    /// sites seen.
+    fn tree_agrees_with_slices(src: &str) -> Vec<DepSite> {
+        let ir = compile(src).unwrap();
+        let mut run = Lockstep {
+            new: DependenceProfiler::new(&ir),
+            old: ReferenceProfiler::new(&ir),
+            seen: Vec::new(),
+        };
+        run_function(&ir, ir.entry.unwrap(), &[], &mut run, ExecLimits::default()).unwrap();
+        let tree = &run.new.tree;
+        let mut sites = Vec::new();
+        for (i, (a_ctx, a_inst, a_stack, a_chain)) in run.seen.iter().enumerate() {
+            for (b_ctx, b_inst, b_stack, b_chain) in &run.seen[i..] {
+                let site = ReferenceProfiler::classify(a_stack, b_stack);
+                assert_eq!(tree.classify(*a_ctx, *b_ctx), site, "classify {a_stack:?} {b_stack:?}");
+                assert_eq!(
+                    tree.lift(*a_ctx, *a_inst, *b_ctx, *b_inst),
+                    ReferenceProfiler::lift(a_chain, *a_inst, b_chain, *b_inst),
+                    "lift {a_chain:?} {b_chain:?}"
+                );
+                sites.push(site.0);
+            }
+        }
+        let (new, old) = (run.new.into_data(), run.old.into_data());
+        assert!(new == old, "profiles differ\nnew: {new:?}\nreference: {old:?}");
+        sites
+    }
+
+    #[test]
+    fn tree_matches_slices_for_reentered_inner_loops() {
+        let sites = tree_agrees_with_slices(
+            "global g[4];
+             fn f(base) {
+                 for i in 0..4 { g[i] = g[i] + base; }
+                 return 0;
+             }
+             fn main() {
+                 f(1);
+                 f(2);
+                 for t in 0..2 { for j in 0..3 { g[j] = g[j] + t; } }
+             }",
+        );
+        assert!(sites.iter().any(|s| matches!(s, DepSite::CrossInstance { .. })));
+        assert!(sites.iter().any(|s| matches!(s, DepSite::Carried { .. })));
+    }
+
+    #[test]
+    fn tree_matches_slices_for_sibling_loops() {
+        let sites = tree_agrees_with_slices(
+            "global a[4];
+             global b[4];
+             fn main() {
+                 for t in 0..2 {
+                     for i in 0..4 { a[i] = b[i] + 1; }
+                     for j in 0..4 { b[j] = a[j] * 2; }
+                 }
+             }",
+        );
+        assert!(sites.iter().any(|s| matches!(s, DepSite::CrossLoop { .. })));
+    }
+
+    #[test]
+    fn tree_matches_slices_for_accesses_outside_loops() {
+        let sites = tree_agrees_with_slices(
+            "global a[4];
+             fn main() {
+                 let s = 1;
+                 for i in 0..4 { a[i] = s; s += 1; }
+                 let t = a[3] + s;
+                 return t;
+             }",
+        );
+        assert!(sites.contains(&DepSite::OutsideLoop));
+        assert!(sites.contains(&DepSite::Intra));
+    }
+
+    #[test]
+    fn tree_matches_slices_for_recursive_calls() {
+        let sites = tree_agrees_with_slices(
+            "global memo[8];
+             fn fib(n) {
+                 if n < 2 { return n; }
+                 let s = 0;
+                 for k in 1..3 { s += fib(n - k); }
+                 memo[n] = s;
+                 return s;
+             }
+             fn main() {
+                 fib(4);
+                 fib(5);
+             }",
+        );
+        assert!(sites.iter().any(|s| matches!(s, DepSite::Carried { .. })));
+        assert!(sites.iter().any(|s| matches!(s, DepSite::CrossInstance { .. })));
+    }
+
+    #[test]
+    fn one_instruction_under_two_loop_nests_notes_both() {
+        // `bump`'s load and store of g[0] run under the first loop, then
+        // under the second: each loop needs its own line record for g[0].
+        let src = "global g[1];
+fn bump() {
+    g[0] = g[0] + 1;
+    return 0;
+}
+fn main() {
+    for i in 0..3 { bump(); }
+    for j in 0..3 { bump(); }
+}";
+        tree_agrees_with_slices(src);
+        let (data, ir) = profile_src(src);
+        assert_eq!(ir.loop_count(), 2);
+        for l in 0..2 {
+            let rec = &data.loop_access_lines[&l][&0];
+            assert_eq!(rec.write_lines.iter().copied().collect::<Vec<_>>(), vec![3]);
+            assert!(rec.inter_iteration && rec.rewritten);
+        }
+    }
+
+    /// Profile `src` collecting the context tree from `floor` nodes on,
+    /// check the data against the reference profiler's, and return the
+    /// live nodes at the end.
+    fn profile_collecting(src: &str, floor: usize) -> usize {
+        let ir = compile(src).unwrap();
+        let mut new = DependenceProfiler::new(&ir);
+        (new.collect_at, new.collect_floor) = (floor, floor);
+        let mut old = ReferenceProfiler::new(&ir);
+        let mut both = parpat_ir::event::Tee::new(&mut new, &mut old);
+        run_function(&ir, ir.entry.unwrap(), &[], &mut both, ExecLimits::default()).unwrap();
+        let live = new.tree.nodes.len();
+        let (new, old) = (new.into_data(), old.into_data());
+        assert!(new == old, "profiles differ\nnew: {new:?}\nreference: {old:?}");
+        live
+    }
+
+    #[test]
+    fn collection_keeps_profiles_identical() {
+        for src in [
+            "global g[4];
+             fn f(base) {
+                 for i in 0..4 { g[i] = g[i] + base; }
+                 return 0;
+             }
+             fn main() {
+                 f(1);
+                 f(2);
+                 for t in 0..5 { for j in 0..3 { g[j] = g[j] + t; } f(t); }
+             }",
+            "global a[4];
+             global b[4];
+             fn main() {
+                 for t in 0..6 {
+                     for i in 0..4 { a[i] = b[i] + 1; }
+                     for j in 0..4 { b[j] = a[j] * 2; }
+                 }
+             }",
+            "global memo[8];
+             fn fib(n) {
+                 if n < 2 { return n; }
+                 let s = 0;
+                 for k in 1..3 { s += fib(n - k); }
+                 memo[n] = s;
+                 return s;
+             }
+             fn main() {
+                 fib(6);
+                 fib(7);
+             }",
+            // The store's anti dependence reaches back to a read several
+            // collections ago; its distance depends on that read's
+            // iteration.
+            "global a[2];
+             fn main() {
+                 a[0] = 1;
+                 let s = 0;
+                 for i in 0..500 {
+                     if i == 2 { s += a[0]; }
+                     if i == 400 { a[0] = s; }
+                     a[1] = i;
+                 }
+             }",
+        ] {
+            profile_collecting(src, 8);
+        }
+    }
+
+    #[test]
+    fn collection_bounds_the_tree_of_a_long_loop() {
+        let live = profile_collecting(
+            "fn main() { let s = 0; for i in 0..100000 { s += 1; } return s; }",
+            64,
+        );
+        assert!(live <= 128, "{live} live nodes after 100000 iterations");
+    }
+
+    #[test]
+    fn dense_shadow_splits_at_the_frame_region_base() {
+        let ir = compile("global a[3]; global b[2]; fn main() { b[1] = 1; }").unwrap();
+        let mut shadow = Shadow::new(&ir, Vec::new(), Vec::new());
+        shadow.cell(FRAME_REGION_BASE).lines = 7;
+        shadow.cell(4).lines = 9;
+        assert_eq!(shadow.frames[0].lines, 7);
+        // The last global cell: the global region never grows past it.
+        assert_eq!(shadow.globals.len(), 5);
+        assert_eq!(shadow.globals[4].lines, 9);
+        let touched: Vec<u64> =
+            shadow.cells().filter(|(_, c)| c.lines != NONE).map(|(a, _)| a).collect();
+        assert_eq!(touched, vec![4, FRAME_REGION_BASE]);
+    }
+
+    #[test]
+    fn profiles_the_first_frame_cell_and_the_last_global_cell() {
+        // `x` is main's slot 0, i.e. exactly FRAME_REGION_BASE; `a[4]` is
+        // the last global cell.
+        let src = "global a[5];
+fn main() {
+    let x = 0;
+    for i in 0..3 {
+        x += a[4];
+        a[4] = x;
+    }
+    return x;
+}";
+        tree_agrees_with_slices(src);
+        let (data, _) = profile_src(src);
+        let lines = &data.loop_access_lines[&0];
+        assert_eq!(lines.keys().copied().collect::<Vec<_>>(), vec![4, FRAME_REGION_BASE]);
+        assert_eq!(lines[&FRAME_REGION_BASE].var_name, "x");
+        assert!(lines[&4].inter_iteration && lines[&4].rewritten);
     }
 }

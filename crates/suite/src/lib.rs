@@ -20,6 +20,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod apps;
+pub mod scaled;
 pub mod speedup;
 
 use parpat_core::Analysis;

@@ -9,6 +9,7 @@ use parpat_core::{
     analyze_source, infer_operator, rank_patterns, render_ranking, suggest_fission,
     suggest_peeling, AnalysisConfig, RankConfig,
 };
+use parpat_static::diag::json_str;
 
 /// Usage text printed on demand and on argument errors.
 pub const USAGE: &str =
@@ -873,24 +874,6 @@ fn join_u32(lines: &[u32]) -> String {
     strs.join(", ")
 }
 
-/// Escape a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Machine-readable report of an analysis: the detected patterns, ranked,
 /// with the transformation suggestions. Hand-rolled JSON (keeps the
 /// dependency set to the pre-approved crates).
@@ -1085,8 +1068,10 @@ fn main() {
         assert!(run(&args(&["analyze", &path, "--hotspot", "100"])).is_ok());
     }
 
-    fn batch_dir() -> (String, String) {
-        let dir = std::env::temp_dir().join(format!("parpat-batch-{}", std::process::id()));
+    /// A fresh input directory per test: tests run concurrently, and one
+    /// rewriting a file another is batching would hand it a torn file.
+    fn batch_dir(test: &str) -> (String, String) {
+        let dir = std::env::temp_dir().join(format!("parpat-batch-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("red.ml"), REDUCTION_SRC).expect("write");
         std::fs::write(
@@ -1101,7 +1086,7 @@ fn main() {
 
     #[test]
     fn batch_analyzes_directory_and_warm_run_is_cached() {
-        let (dir, cache) = batch_dir();
+        let (dir, cache) = batch_dir("batch_analyzes_directory_and_warm_run_is_cached");
         let cold = run(&args(&["batch", &dir, "--jobs", "2", "--cache-dir", &cache])).unwrap();
         assert!(cold.contains("red.ml"), "{cold}");
         assert!(cold.contains("pipe.ml"), "{cold}");
@@ -1120,7 +1105,7 @@ fn main() {
 
     #[test]
     fn batch_json_reports_programs_and_stats() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("batch_json_reports_programs_and_stats");
         let out = run(&args(&["batch", &dir, "--cache-dir", "none", "--json"])).unwrap();
         assert!(out.contains("\"programs\""), "{out}");
         assert!(out.contains("\"stats\""), "{out}");
@@ -1129,7 +1114,7 @@ fn main() {
 
     #[test]
     fn batch_rejects_bad_inputs() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("batch_rejects_bad_inputs");
         assert!(run(&args(&["batch", &dir, "--jobs", "0", "--cache-dir", "none"]))
             .unwrap_err()
             .contains("--jobs"));
@@ -1141,7 +1126,7 @@ fn main() {
     #[test]
     fn budget_flags_are_validated_like_hotspot() {
         let path = write_temp("lim.ml", REDUCTION_SRC);
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("budget_flags_are_validated_like_hotspot");
         for flag in ["--max-steps", "--timeout-ms", "--max-mem-cells"] {
             for bad in ["0", "-3", "zap", "1.5"] {
                 let err = run(&args(&["analyze", &path, flag, bad])).unwrap_err();
@@ -1157,7 +1142,7 @@ fn main() {
 
     #[test]
     fn retries_flag_is_validated_and_accepted() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("retries_flag_is_validated_and_accepted");
         for bad in ["-1", "zap", "1.5"] {
             let err =
                 run(&args(&["batch", &dir, "--cache-dir", "none", "--retries", bad])).unwrap_err();
@@ -1169,7 +1154,7 @@ fn main() {
 
     #[test]
     fn resume_requires_a_cache_directory() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("resume_requires_a_cache_directory");
         let err = run(&args(&["batch", &dir, "--cache-dir", "none", "--resume"])).unwrap_err();
         assert!(err.contains("--resume needs a cache directory"), "{err}");
     }
@@ -1276,7 +1261,7 @@ fn main() {
 
     #[test]
     fn lint_directory_lints_every_ml_file() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("lint_directory_lints_every_ml_file");
         let out = run(&args(&["lint", &dir])).unwrap();
         assert!(out.contains("red.ml"), "{out}");
         assert!(out.contains("pipe.ml"), "{out}");
@@ -1361,7 +1346,7 @@ fn main() {
 
     #[test]
     fn batch_sanitize_flag_is_accepted_and_counted() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("batch_sanitize_flag_is_accepted_and_counted");
         let out = run(&args(&["batch", &dir, "--cache-dir", "none", "--sanitize"])).unwrap();
         assert!(out.contains(" ok "), "clean programs pass the sanitizer: {out}");
         assert!(out.contains("0 sanitizer reject(s)"), "{out}");
@@ -1391,7 +1376,7 @@ fn main() {
 
     #[test]
     fn batch_directory_order_is_sorted_and_deterministic() {
-        let (dir, _) = batch_dir();
+        let (dir, _) = batch_dir("batch_directory_order_is_sorted_and_deterministic");
         let run_once = || {
             let out = run(&args(&["batch", &dir, "--cache-dir", "none"])).unwrap();
             // Program lines only — the trailing stats include wall time.
