@@ -6,6 +6,9 @@ set -eux
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# The benchmark package has its own workspace and uses the crates' public
+# API: a breaking change must fail here, not only when the benchmark runs.
+cargo check --offline --manifest-path parbench/Cargo.toml
 cargo test -q
 # Fault-injection suite: every (stage x fault mode x job count) must leave
 # the batch complete, ordered, and correctly counted — including transient

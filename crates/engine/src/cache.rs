@@ -23,10 +23,10 @@
 //! oldest is evicted (counted in [`Cache::quarantine_evicted`]), so a
 //! rotting disk cannot fill the cache directory with tombstones.
 //!
-//! Records carry a `sum` line — an FNV-1a checksum over the record body —
-//! so bit-rot that still parses structurally reads as corruption, not as
-//! a wrong answer served from cache. Legacy records without the line
-//! still parse. A disk-tier write failing with ENOSPC disables further
+//! Records carry a mandatory `sum` line — an FNV-1a checksum over the
+//! record body — so bit-rot that still parses structurally reads as
+//! corruption, not as a wrong answer served from cache; a record without
+//! the line is malformed. A disk-tier write failing with ENOSPC disables further
 //! record writes (reads and the memory tier keep working) instead of
 //! failing every insert against a full disk; the suppressed writes are
 //! counted ([`Cache::disabled_writes`]).
@@ -45,6 +45,7 @@ use parpat_static::{LoopReport, StaticReport};
 
 use crate::digest::hash_bytes;
 use crate::report::ProgramReport;
+use crate::stage::Stage;
 use crate::vfs::{is_enospc, RealFs, Vfs};
 
 /// Most `.corrupt` quarantine files kept in a cache directory before the
@@ -79,6 +80,23 @@ pub enum Artifact {
     Analysis(Arc<Analysis>),
     /// Terminal report.
     Report(Arc<ProgramReport>),
+}
+
+impl Artifact {
+    /// The stage this artifact is the output of; `None` for a per-function
+    /// fragment.
+    pub(crate) fn stage(&self) -> Option<Stage> {
+        match self {
+            Artifact::Ast(_) => Some(Stage::Parse),
+            Artifact::Ir(_) => Some(Stage::Lower),
+            Artifact::Static(_) => Some(Stage::Static),
+            Artifact::Cus(_) => Some(Stage::CuBuild),
+            Artifact::Profile(_) => Some(Stage::Profile),
+            Artifact::Analysis(_) => Some(Stage::Detect),
+            Artifact::Report(_) => Some(Stage::Rank),
+            Artifact::StaticFunc(_) | Artifact::CuFunc(_) => None,
+        }
+    }
 }
 
 /// A parsed disk record.
@@ -409,22 +427,17 @@ pub(crate) fn check_record(bytes: &[u8]) -> Result<DiskRecord, RecordIssue> {
     // v1 records lack the cross-validation fields; failing the magic
     // quarantines them and the slot regenerates in the new format.
     let rest = bytes.strip_prefix(b"parpat-rec-v2\n").ok_or(RecordIssue::Malformed)?;
-    // Optional `sum` line: verify, then parse the body after it. Legacy
-    // records (no sum) parse with no integrity check.
-    let body = if rest.starts_with(b"sum ") {
-        let nl = rest.iter().position(|&b| b == b'\n').ok_or(RecordIssue::Malformed)?;
-        let expect = std::str::from_utf8(&rest[4..nl])
-            .ok()
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or(RecordIssue::Malformed)?;
-        let body = &rest[nl + 1..];
-        if hash_bytes(body) != expect {
-            return Err(RecordIssue::Checksum);
-        }
-        body
-    } else {
-        rest
-    };
+    // The `sum` line: verify, then parse the body after it.
+    let nl = rest.iter().position(|&b| b == b'\n').ok_or(RecordIssue::Malformed)?;
+    let expect = std::str::from_utf8(&rest[..nl])
+        .ok()
+        .and_then(|l| l.strip_prefix("sum "))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or(RecordIssue::Malformed)?;
+    let body = &rest[nl + 1..];
+    if hash_bytes(body) != expect {
+        return Err(RecordIssue::Checksum);
+    }
     parse_body(body).ok_or(RecordIssue::Malformed)
 }
 
@@ -497,7 +510,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::fault::xorshift64;
+    use crate::xorshift64;
 
     fn report() -> ProgramReport {
         ProgramReport {
@@ -536,18 +549,19 @@ mod tests {
     fn malformed_records_are_misses() {
         assert!(parse_record(b"").is_none());
         assert!(parse_record(b"parpat-rec-v2\n").is_none());
-        assert!(parse_record(b"parpat-rec-v2\ndigest zzz\n").is_none());
+        // A record without its `sum` line is malformed.
+        let unsummed = b"parpat-rec-v2\ndigest 0000000000000001\n";
+        assert_eq!(check_record(unsummed).map(|r| r.digest), Err(RecordIssue::Malformed));
         // Stale v1 records (pre cross-validation) fail the magic.
         assert!(parse_record(b"parpat-rec-v1\ndigest 0000000000000001\n").is_none());
+        // Bodies that fail to parse.
+        assert!(parse_body(b"digest zzz\n").is_none());
         // Old 8-number report header.
-        assert!(parse_record(b"parpat-rec-v2\ndigest 01\nreport 1 0 0 0 0 0 0 0\ns").is_none());
+        assert!(parse_body(b"digest 01\nreport 1 0 0 0 0 0 0 0\ns").is_none());
         // Line-list length disagrees with the declared counts.
-        assert!(
-            parse_record(b"parpat-rec-v2\ndigest 01\nreport 0 0 0 0 0 0 0 0 0 2 0 4\n").is_none()
-        );
+        assert!(parse_body(b"digest 01\nreport 0 0 0 0 0 0 0 0 0 2 0 4\n").is_none());
         // Truncated payload.
-        assert!(parse_record(b"parpat-rec-v2\ndigest 01\nreport 99 0 0 0 0 0 0 0 0 0 0\nshort")
-            .is_none());
+        assert!(parse_body(b"digest 01\nreport 99 0 0 0 0 0 0 0 0 0 0\nshort").is_none());
     }
 
     #[test]
@@ -576,23 +590,21 @@ mod tests {
     #[test]
     fn hostile_report_lengths_are_misses_not_overflows() {
         let evil = format!(
-            "parpat-rec-v2\ndigest 0000000000000001\nreport {} {} 0 0 0 0 0 0 0 0 0\nx",
+            "digest 0000000000000001\nreport {} {} 0 0 0 0 0 0 0 0 0\nx",
             u64::MAX,
             u64::MAX
         );
-        assert!(parse_record(evil.as_bytes()).is_none());
-        let evil2 = format!(
-            "parpat-rec-v2\ndigest 0000000000000001\nreport {} 2 0 0 0 0 0 0 0 0 0\nx",
-            u64::MAX - 1
-        );
-        assert!(parse_record(evil2.as_bytes()).is_none());
+        assert!(parse_body(evil.as_bytes()).is_none());
+        let evil2 =
+            format!("digest 0000000000000001\nreport {} 2 0 0 0 0 0 0 0 0 0\nx", u64::MAX - 1);
+        assert!(parse_body(evil2.as_bytes()).is_none());
         // Hostile line-list counts must not overflow the length check.
         let evil3 = format!(
-            "parpat-rec-v2\ndigest 0000000000000001\nreport 0 0 0 0 0 0 0 0 0 {} {}\nx",
+            "digest 0000000000000001\nreport 0 0 0 0 0 0 0 0 0 {} {}\nx",
             u64::MAX,
             u64::MAX
         );
-        assert!(parse_record(evil3.as_bytes()).is_none());
+        assert!(parse_body(evil3.as_bytes()).is_none());
     }
 
     #[test]
@@ -658,16 +670,6 @@ mod tests {
         assert_eq!(check_record(&valid).map(|r| r.digest), Ok(0xABCD));
         assert_eq!(check_record(&rotted).map(|r| r.digest), Err(RecordIssue::Checksum));
         assert!(parse_record(&rotted).is_none(), "a rotted record is a miss");
-    }
-
-    #[test]
-    fn legacy_records_without_a_sum_line_still_parse() {
-        let rec = DiskRecord { digest: 0x42, insts: Some(3), report: None };
-        let mut legacy = b"parpat-rec-v2\n".to_vec();
-        legacy.extend_from_slice(&render_body(&rec));
-        let parsed = parse_record(&legacy).expect("legacy record parses");
-        assert_eq!(parsed.digest, 0x42);
-        assert_eq!(parsed.insts, Some(3));
     }
 
     #[test]

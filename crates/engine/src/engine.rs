@@ -64,7 +64,7 @@ use parpat_static::{
     StaticReport, PASS_NAMES,
 };
 
-use crate::cache::{Artifact, Cache, Lookup};
+use crate::cache::{Artifact, Cache, DiskRecord, Lookup};
 use crate::digest::{hash_bytes, Fnv64};
 use crate::error::{EngineError, ErrorKind};
 use crate::fault::{FaultMode, FaultPlan};
@@ -853,9 +853,10 @@ enum St {
     Miss,
 }
 
-/// One program's walk through the stage graph. Digests and artifacts are
-/// memoized; stage states start as digest-level answers and are demoted to
-/// misses when an artifact must materialize after all.
+/// One program's walk through the stage graph. Every stage resolves once,
+/// through [`ProgRun::resolve`], into its slot; a stage state starts as a
+/// digest-level answer and is demoted to a miss when the artifact must
+/// materialize after all.
 struct ProgRun<'e> {
     eng: &'e Engine,
     src: &'e str,
@@ -874,23 +875,13 @@ struct ProgRun<'e> {
     /// Per-pass timings of the SSA pipeline runs behind executed static
     /// fragments, merged across functions (empty when every fragment hit).
     pass_timings: Vec<PassTiming>,
-
-    ast_d: Option<u64>,
-    ir_d: Option<u64>,
+    /// Per stage: the output digest once resolved, and the artifact once
+    /// materialized (a disk hit proves the digest alone).
+    slots: [Option<(u64, Option<Artifact>)>; 7],
     /// Per-function digests of the lowered IR, in function order
-    /// ([`function_digests`]); `ir_d` is the chain of these.
+    /// ([`function_digests`]); the lower stage's digest is the chain of
+    /// these.
     func_ds: Option<Arc<Vec<u64>>>,
-    stat_d: Option<u64>,
-    cu_d: Option<u64>,
-    prof_d: Option<u64>,
-    det_d: Option<u64>,
-
-    ast: Option<Arc<Program>>,
-    ir: Option<Arc<IrProgram>>,
-    statics: Option<Arc<StaticReport>>,
-    cus: Option<Arc<CuSet>>,
-    prof: Option<Arc<parpat_core::ProfiledRun>>,
-    analysis: Option<Arc<Analysis>>,
 }
 
 fn key(tag: &str, inputs: &[u64]) -> u64 {
@@ -914,19 +905,8 @@ impl<'e> ProgRun<'e> {
             insts_executed: 0,
             funcs_reanalyzed: HashSet::new(),
             pass_timings: Vec::new(),
-            ast_d: None,
-            ir_d: None,
+            slots: Default::default(),
             func_ds: None,
-            stat_d: None,
-            cu_d: None,
-            prof_d: None,
-            det_d: None,
-            ast: None,
-            ir: None,
-            statics: None,
-            cus: None,
-            prof: None,
-            analysis: None,
         }
     }
 
@@ -1040,13 +1020,129 @@ impl<'e> ProgRun<'e> {
         self.eng.cache.lookup(k)
     }
 
-    // ---- parse ----------------------------------------------------------
-
-    fn key_parse(&self) -> u64 {
-        key("parse", &[hash_bytes(self.src.as_bytes())])
+    /// Resolve stage `s` to its slot: the output digest, plus the artifact
+    /// when `need` is set. The first resolution decides between a memory
+    /// hit, a disk hit, and executing the stage. A disk record proves the
+    /// digest but (except the rank stage's report) holds no artifact: when
+    /// the artifact is needed later, the stage executes after all and
+    /// [`ProgRun::execute`] demotes the hit to a miss.
+    fn resolve(&mut self, s: Stage, need: bool) -> Result<(u64, Option<Artifact>), EngineError> {
+        let i = s.index();
+        if self.slots[i].is_none() {
+            let k = self.key_of(s)?;
+            match self.lookup(s, k) {
+                Lookup::Memory(a, d) if a.stage() == Some(s) => {
+                    self.states[i] = St::Hit;
+                    self.slots[i] = Some((d, Some(a)));
+                }
+                // A rank record answers only with the report it carries.
+                Lookup::Disk(DiskRecord { report: None, .. }) if s == Stage::Rank => {
+                    self.run(s, k)?;
+                }
+                Lookup::Disk(rec) => {
+                    self.states[i] = St::Hit;
+                    // Promote a persisted report into the memory tier.
+                    let report = rec.report.map(|r| Artifact::Report(Arc::new(r)));
+                    if let Some(a) = &report {
+                        self.eng.cache.insert_memory(k, rec.digest, a.clone());
+                    }
+                    self.slots[i] = Some((rec.digest, report));
+                }
+                _ => self.run(s, k)?,
+            }
+        }
+        if need && matches!(self.slots[i], Some((_, None))) {
+            let k = self.key_of(s)?;
+            self.run(s, k)?;
+        }
+        Ok(self.slots[i].clone().expect("resolved above"))
     }
 
-    fn run_parse(&mut self) -> Result<(), EngineError> {
+    fn digest(&mut self, s: Stage) -> Result<u64, EngineError> {
+        Ok(self.resolve(s, false)?.0)
+    }
+
+    fn artifact(&mut self, s: Stage) -> Result<Artifact, EngineError> {
+        Ok(self.resolve(s, true)?.1.expect("materialized above"))
+    }
+
+    fn key_of(&mut self, s: Stage) -> Result<u64, EngineError> {
+        Ok(match s {
+            Stage::Parse => key("parse", &[hash_bytes(self.src.as_bytes())]),
+            Stage::Lower => key("lower", &[self.digest(Stage::Parse)?]),
+            Stage::Static => key("static", &[self.digest(Stage::Lower)?]),
+            Stage::CuBuild => key("cu", &[self.digest(Stage::Lower)?]),
+            Stage::Profile => {
+                let ir_d = self.digest(Stage::Lower)?;
+                self.key_profile(ir_d)
+            }
+            Stage::Detect => self.key_detect()?,
+            Stage::Rank => self.key_rank()?,
+        })
+    }
+
+    /// Execute stage `s` under key `k`, store its output in both cache
+    /// tiers, and fill its slot.
+    fn run(&mut self, s: Stage, k: u64) -> Result<(), EngineError> {
+        let (d, artifact) = match s {
+            Stage::Parse => self.run_parse()?,
+            Stage::Lower => self.run_lower()?,
+            Stage::Static => self.run_static()?,
+            Stage::CuBuild => self.run_cus()?,
+            Stage::Profile => self.run_profile(k)?,
+            Stage::Detect => self.run_detect(k)?,
+            Stage::Rank => self.run_rank(k)?,
+        };
+        let insts = match &artifact {
+            Artifact::Profile(run) => Some(run.insts),
+            _ => None,
+        };
+        self.eng.cache.insert(k, d, artifact.clone(), insts);
+        self.slots[s.index()] = Some((d, Some(artifact)));
+        Ok(())
+    }
+
+    // Typed views of `artifact`: `resolve` admits only the resolved stage's
+    // own artifact variant, so the `else` arms cannot trigger.
+
+    fn ast(&mut self) -> Result<Arc<Program>, EngineError> {
+        let Artifact::Ast(a) = self.artifact(Stage::Parse)? else { unreachable!() };
+        Ok(a)
+    }
+
+    fn ir(&mut self) -> Result<Arc<IrProgram>, EngineError> {
+        let Artifact::Ir(ir) = self.artifact(Stage::Lower)? else { unreachable!() };
+        Ok(ir)
+    }
+
+    fn statics(&mut self) -> Result<Arc<StaticReport>, EngineError> {
+        let Artifact::Static(s) = self.artifact(Stage::Static)? else { unreachable!() };
+        Ok(s)
+    }
+
+    fn cus(&mut self) -> Result<Arc<CuSet>, EngineError> {
+        let Artifact::Cus(c) = self.artifact(Stage::CuBuild)? else { unreachable!() };
+        Ok(c)
+    }
+
+    fn prof(&mut self) -> Result<Arc<parpat_core::ProfiledRun>, EngineError> {
+        let Artifact::Profile(p) = self.artifact(Stage::Profile)? else { unreachable!() };
+        Ok(p)
+    }
+
+    fn analysis(&mut self) -> Result<Arc<Analysis>, EngineError> {
+        let Artifact::Analysis(a) = self.artifact(Stage::Detect)? else { unreachable!() };
+        Ok(a)
+    }
+
+    fn report(&mut self) -> Result<Arc<ProgramReport>, EngineError> {
+        let Artifact::Report(r) = self.artifact(Stage::Rank)? else { unreachable!() };
+        Ok(r)
+    }
+
+    // ---- parse ----------------------------------------------------------
+
+    fn run_parse(&mut self) -> Result<(u64, Artifact), EngineError> {
         let ast = self
             .execute(Stage::Parse, |r| parpat_minilang::parse_checked(r.src))?
             .map_err(|e| EngineError::lang(Stage::Parse, e.to_string()))?;
@@ -1061,48 +1157,13 @@ impl<'e> ProgRun<'e> {
         for t in &toks {
             h.write(format!("{:?}@{};", t.kind, t.line).as_bytes());
         }
-        let d = h.finish();
-        let ast = Arc::new(ast);
-        self.eng.cache.insert(self.key_parse(), d, Artifact::Ast(Arc::clone(&ast)), None);
-        self.ast = Some(ast);
-        self.ast_d = Some(d);
-        Ok(())
-    }
-
-    fn ast_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.ast_d {
-            return Ok(d);
-        }
-        match self.lookup(Stage::Parse, self.key_parse()) {
-            Lookup::Memory(Artifact::Ast(a), d) => {
-                self.states[Stage::Parse.index()] = St::Hit;
-                self.ast = Some(a);
-                self.ast_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Parse.index()] = St::Hit;
-                self.ast_d = Some(rec.digest);
-            }
-            _ => self.run_parse()?,
-        }
-        Ok(self.ast_d.expect("set above"))
-    }
-
-    fn ast(&mut self) -> Result<Arc<Program>, EngineError> {
-        self.ast_digest()?;
-        if self.ast.is_none() {
-            // Disk record answered the digest, but the artifact is needed
-            // after all: recompute and demote the hit.
-            self.run_parse()?;
-        }
-        Ok(Arc::clone(self.ast.as_ref().expect("set above")))
+        Ok((h.finish(), Artifact::Ast(Arc::new(ast))))
     }
 
     // ---- lower ----------------------------------------------------------
 
-    fn run_lower(&mut self) -> Result<(), EngineError> {
+    fn run_lower(&mut self) -> Result<(u64, Artifact), EngineError> {
         let ast = self.ast()?;
-        let k = key("lower", &[self.ast_d.expect("ast resolved")]);
         // Peek at the plan list directly: `fault_for` trip-counts, and this
         // probe must not consume trips of a Transient/Stall plan armed at
         // the lower stage.
@@ -1141,44 +1202,13 @@ impl<'e> ProgRun<'e> {
         // source invalidates exactly the fragments whose functions changed.
         let fds = Arc::new(function_digests(&ir));
         let d = key("ir", &fds);
-        self.eng.cache.insert(k, d, Artifact::Ir(Arc::clone(&ir)), None);
-        self.ir = Some(ir);
-        self.ir_d = Some(d);
         self.func_ds = Some(fds);
-        Ok(())
-    }
-
-    fn ir_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.ir_d {
-            return Ok(d);
-        }
-        let ast_d = self.ast_digest()?;
-        match self.lookup(Stage::Lower, key("lower", &[ast_d])) {
-            Lookup::Memory(Artifact::Ir(ir), d) => {
-                self.states[Stage::Lower.index()] = St::Hit;
-                self.ir = Some(ir);
-                self.ir_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Lower.index()] = St::Hit;
-                self.ir_d = Some(rec.digest);
-            }
-            _ => self.run_lower()?,
-        }
-        Ok(self.ir_d.expect("set above"))
-    }
-
-    fn ir(&mut self) -> Result<Arc<IrProgram>, EngineError> {
-        self.ir_digest()?;
-        if self.ir.is_none() {
-            self.run_lower()?;
-        }
-        Ok(Arc::clone(self.ir.as_ref().expect("set above")))
+        Ok((d, Artifact::Ir(ir)))
     }
 
     /// The per-function IR digests, computing them from the materialized IR
     /// when lowering itself was a cache hit. Deterministic, so recomputed
-    /// digests match the ones `run_lower` chained into `ir_d`.
+    /// digests match the ones `run_lower` chained into the IR digest.
     fn func_digests(&mut self) -> Result<Arc<Vec<u64>>, EngineError> {
         if self.func_ds.is_none() {
             let ir = self.ir()?;
@@ -1189,19 +1219,17 @@ impl<'e> ProgRun<'e> {
 
     // ---- static ---------------------------------------------------------
 
-    fn run_static(&mut self) -> Result<(), EngineError> {
+    fn run_static(&mut self) -> Result<(u64, Artifact), EngineError> {
         let ir = self.ir()?;
         let fds = self.func_digests()?;
-        let ir_d = self.ir_d.expect("ir resolved");
-        let k = key("static", &[ir_d]);
-        let d = key("static.out", &[ir_d]);
+        let d = key("static.out", &[self.digest(Stage::Lower)?]);
         // The stage executes as a merge of per-function fragments, each
         // cached (memory tier) under its function digest: a re-submitted
         // source re-analyzes only the functions whose digests changed.
         // Fragment hits do not touch the stage hit/miss accounting — the
         // stage itself still missed (the merge ran); `funcs_reanalyzed`
         // reports the fragment-level work.
-        let statics = Arc::new(self.execute(Stage::Static, |r| {
+        let statics = self.execute(Stage::Static, |r| {
             let mut parts: Vec<Arc<Vec<LoopReport>>> = Vec::with_capacity(ir.functions.len());
             for (f, &fd) in ir.functions.iter().zip(fds.iter()) {
                 let fk = key("static.func", &[fd]);
@@ -1223,53 +1251,20 @@ impl<'e> ProgRun<'e> {
                 parts.push(frag);
             }
             merge_function_reports(parts.iter().map(|p| p.as_slice()))
-        })?);
-        self.eng.cache.insert(k, d, Artifact::Static(Arc::clone(&statics)), None);
-        self.statics = Some(statics);
-        self.stat_d = Some(d);
-        Ok(())
-    }
-
-    fn static_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.stat_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.lookup(Stage::Static, key("static", &[ir_d])) {
-            Lookup::Memory(Artifact::Static(s), d) => {
-                self.states[Stage::Static.index()] = St::Hit;
-                self.statics = Some(s);
-                self.stat_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Static.index()] = St::Hit;
-                self.stat_d = Some(rec.digest);
-            }
-            _ => self.run_static()?,
-        }
-        Ok(self.stat_d.expect("set above"))
-    }
-
-    fn statics(&mut self) -> Result<Arc<StaticReport>, EngineError> {
-        self.static_digest()?;
-        if self.statics.is_none() {
-            self.run_static()?;
-        }
-        Ok(Arc::clone(self.statics.as_ref().expect("set above")))
+        })?;
+        Ok((d, Artifact::Static(Arc::new(statics))))
     }
 
     // ---- cu build -------------------------------------------------------
 
-    fn run_cus(&mut self) -> Result<(), EngineError> {
+    fn run_cus(&mut self) -> Result<(u64, Artifact), EngineError> {
         let ir = self.ir()?;
         let fds = self.func_digests()?;
-        let ir_d = self.ir_d.expect("ir resolved");
-        let k = key("cu", &[ir_d]);
-        let d = key("cu.out", &[ir_d]);
+        let d = key("cu.out", &[self.digest(Stage::Lower)?]);
         // Same fragment discipline as the static stage: per-function CU
         // sets (fragment-local ids) cached under the function digest, then
         // merged in function order — which reproduces `build_cus` exactly.
-        let cus = Arc::new(self.execute(Stage::CuBuild, |r| {
+        let cus = self.execute(Stage::CuBuild, |r| {
             let mut frags: Vec<Arc<CuSet>> = Vec::with_capacity(ir.functions.len());
             for (f, &fd) in ir.functions.iter().zip(fds.iter()) {
                 let fk = key("cu.func", &[fd]);
@@ -1289,39 +1284,8 @@ impl<'e> ProgRun<'e> {
                 frags.push(frag);
             }
             merge_cu_sets(frags.iter().map(|c| c.as_ref()))
-        })?);
-        self.eng.cache.insert(k, d, Artifact::Cus(Arc::clone(&cus)), None);
-        self.cus = Some(cus);
-        self.cu_d = Some(d);
-        Ok(())
-    }
-
-    fn cu_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.cu_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.lookup(Stage::CuBuild, key("cu", &[ir_d])) {
-            Lookup::Memory(Artifact::Cus(c), d) => {
-                self.states[Stage::CuBuild.index()] = St::Hit;
-                self.cus = Some(c);
-                self.cu_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::CuBuild.index()] = St::Hit;
-                self.cu_d = Some(rec.digest);
-            }
-            _ => self.run_cus()?,
-        }
-        Ok(self.cu_d.expect("set above"))
-    }
-
-    fn cus(&mut self) -> Result<Arc<CuSet>, EngineError> {
-        self.cu_digest()?;
-        if self.cus.is_none() {
-            self.run_cus()?;
-        }
-        Ok(Arc::clone(self.cus.as_ref().expect("set above")))
+        })?;
+        Ok((d, Artifact::Cus(Arc::new(cus))))
     }
 
     // ---- profile --------------------------------------------------------
@@ -1340,10 +1304,9 @@ impl<'e> ProgRun<'e> {
         )
     }
 
-    fn run_profile(&mut self) -> Result<(), EngineError> {
+    fn run_profile(&mut self, k: u64) -> Result<(u64, Artifact), EngineError> {
         let ir = self.ir()?;
         let ast = self.ast()?;
-        let k = self.key_profile(self.ir_d.expect("ir resolved"));
         let d = key("profile.out", &[k]);
         let run = self
             .execute(Stage::Profile, |r| {
@@ -1367,12 +1330,7 @@ impl<'e> ProgRun<'e> {
                 ));
             }
         }
-        let insts = run.insts;
-        let run = Arc::new(run);
-        self.eng.cache.insert(k, d, Artifact::Profile(Arc::clone(&run)), Some(insts));
-        self.prof = Some(run);
-        self.prof_d = Some(d);
-        Ok(())
+        Ok((d, Artifact::Profile(Arc::new(run))))
     }
 
     /// Differential oracle: replay the program through the independent
@@ -1420,40 +1378,12 @@ impl<'e> ProgRun<'e> {
         }
     }
 
-    fn prof_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.prof_d {
-            return Ok(d);
-        }
-        let ir_d = self.ir_digest()?;
-        match self.lookup(Stage::Profile, self.key_profile(ir_d)) {
-            Lookup::Memory(Artifact::Profile(p), d) => {
-                self.states[Stage::Profile.index()] = St::Hit;
-                self.prof = Some(p);
-                self.prof_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Profile.index()] = St::Hit;
-                self.prof_d = Some(rec.digest);
-            }
-            _ => self.run_profile()?,
-        }
-        Ok(self.prof_d.expect("set above"))
-    }
-
-    fn prof(&mut self) -> Result<Arc<parpat_core::ProfiledRun>, EngineError> {
-        self.prof_digest()?;
-        if self.prof.is_none() {
-            self.run_profile()?;
-        }
-        Ok(Arc::clone(self.prof.as_ref().expect("set above")))
-    }
-
     // ---- detect ---------------------------------------------------------
 
     fn key_detect(&mut self) -> Result<u64, EngineError> {
-        let ir_d = self.ir_digest()?;
-        let cu_d = self.cu_digest()?;
-        let prof_d = self.prof_digest()?;
+        let ir_d = self.digest(Stage::Lower)?;
+        let cu_d = self.digest(Stage::CuBuild)?;
+        let prof_d = self.digest(Stage::Profile)?;
         let cfg = &self.eng.cfg;
         let mut h = Fnv64::new();
         h.write(b"detect");
@@ -1464,61 +1394,39 @@ impl<'e> ProgRun<'e> {
         Ok(h.finish())
     }
 
-    fn run_detect(&mut self) -> Result<(), EngineError> {
-        let k = self.key_detect()?;
+    fn run_detect(&mut self, k: u64) -> Result<(u64, Artifact), EngineError> {
         let d = key("detect.out", &[k]);
         let ir = self.ir()?;
         let cus = self.cus()?;
         let prof = self.prof()?;
         let cfg = self.eng.cfg;
+        // The analysis shares the cached artifacts: the stage costs the
+        // detectors and nothing else.
         let analysis = self.execute(Stage::Detect, |_| {
             let detections = detect_patterns(&ir, &prof.profile, &prof.pet, &cus, &cfg);
-            assemble_analysis(
-                (*ir).clone(),
-                prof.profile.clone(),
-                prof.pet.clone(),
-                (*cus).clone(),
-                detections,
-            )
+            assemble_analysis(ir, Arc::clone(&prof.profile), Arc::clone(&prof.pet), cus, detections)
         })?;
-        let analysis = Arc::new(analysis);
-        self.eng.cache.insert(k, d, Artifact::Analysis(Arc::clone(&analysis)), None);
-        self.analysis = Some(analysis);
-        self.det_d = Some(d);
-        Ok(())
-    }
-
-    fn det_digest(&mut self) -> Result<u64, EngineError> {
-        if let Some(d) = self.det_d {
-            return Ok(d);
-        }
-        let k = self.key_detect()?;
-        match self.lookup(Stage::Detect, k) {
-            Lookup::Memory(Artifact::Analysis(a), d) => {
-                self.states[Stage::Detect.index()] = St::Hit;
-                self.analysis = Some(a);
-                self.det_d = Some(d);
-            }
-            Lookup::Disk(rec) => {
-                self.states[Stage::Detect.index()] = St::Hit;
-                self.det_d = Some(rec.digest);
-            }
-            _ => self.run_detect()?,
-        }
-        Ok(self.det_d.expect("set above"))
-    }
-
-    fn analysis(&mut self) -> Result<Arc<Analysis>, EngineError> {
-        self.det_digest()?;
-        if self.analysis.is_none() {
-            self.run_detect()?;
-        }
-        Ok(Arc::clone(self.analysis.as_ref().expect("set above")))
+        Ok((d, Artifact::Analysis(Arc::new(analysis))))
     }
 
     // ---- rank -----------------------------------------------------------
 
-    fn run_rank(&mut self, k: u64) -> Result<Arc<ProgramReport>, EngineError> {
+    fn key_rank(&mut self) -> Result<u64, EngineError> {
+        // Resolve the static verdicts before any dynamic stage: a fault in
+        // the static stage must fail the program before profiling starts,
+        // and a later dynamic failure finds the verdicts already resolved
+        // for the degraded report.
+        let stat_d = self.digest(Stage::Static)?;
+        let det_d = self.digest(Stage::Detect)?;
+        let mut h = Fnv64::new();
+        h.write(b"rank");
+        h.write_u64(det_d);
+        h.write_u64(stat_d);
+        h.write_f64(self.eng.rank_workers);
+        Ok(h.finish())
+    }
+
+    fn run_rank(&mut self, k: u64) -> Result<(u64, Artifact), EngineError> {
         let analysis = self.analysis()?;
         let statics = self.statics()?;
         let workers = self.eng.rank_workers;
@@ -1539,46 +1447,7 @@ impl<'e> ProgRun<'e> {
                 consistency_errors: xv.consistency_errors,
             }
         })?;
-        let report = Arc::new(report);
-        let d = key("report", &[k]);
-        self.eng.cache.insert(k, d, Artifact::Report(Arc::clone(&report)), None);
-        Ok(report)
-    }
-
-    fn report(&mut self) -> Result<Arc<ProgramReport>, EngineError> {
-        // Resolve the static verdicts before any dynamic stage: a fault in
-        // the static stage must fail the program before profiling starts,
-        // and a later dynamic failure finds the verdicts already resolved
-        // for the degraded report.
-        let stat_d = self.static_digest()?;
-        let det_d = self.det_digest()?;
-        let mut h = Fnv64::new();
-        h.write(b"rank");
-        h.write_u64(det_d);
-        h.write_u64(stat_d);
-        h.write_f64(self.eng.rank_workers);
-        let k = h.finish();
-        match self.lookup(Stage::Rank, k) {
-            Lookup::Memory(Artifact::Report(r), _) => {
-                self.states[Stage::Rank.index()] = St::Hit;
-                Ok(r)
-            }
-            Lookup::Disk(rec) => match rec.report {
-                Some(report) => {
-                    // Promote the persisted report into the memory tier.
-                    self.states[Stage::Rank.index()] = St::Hit;
-                    let report = Arc::new(report);
-                    self.eng.cache.insert_memory(
-                        k,
-                        rec.digest,
-                        Artifact::Report(Arc::clone(&report)),
-                    );
-                    Ok(report)
-                }
-                None => self.run_rank(k),
-            },
-            _ => self.run_rank(k),
-        }
+        Ok((key("report", &[k]), Artifact::Report(Arc::new(report))))
     }
 }
 
@@ -1619,6 +1488,26 @@ mod tests {
         // verifier failure did not.
         assert_eq!(counters.verified.load(Ordering::Relaxed), 2);
         assert_eq!(counters.errors.load(Ordering::Relaxed), 3);
+    }
+
+    /// The analysis shares the cached artifacts instead of copying them: a
+    /// second run of the same program resolves them from the memory tier,
+    /// and the analysis points at the very same allocations.
+    #[test]
+    fn analysis_shares_the_cached_artifacts() {
+        let eng = Engine::new(EngineConfig::default()).unwrap();
+        let src = "global a[8];\nfn main() { for i in 0..8 { a[i] = i; } }";
+        ProgRun::new(&eng, src, 0, Arc::new(ExecControl::new())).report().unwrap();
+        let mut warm = ProgRun::new(&eng, src, 0, Arc::new(ExecControl::new()));
+        let analysis = warm.analysis().unwrap();
+        let (ir, cus, prof) = (warm.ir().unwrap(), warm.cus().unwrap(), warm.prof().unwrap());
+        for s in [Stage::Lower, Stage::CuBuild, Stage::Profile, Stage::Detect] {
+            assert_eq!(warm.states[s.index()], St::Hit, "{s} resolves from the memory tier");
+        }
+        assert!(Arc::ptr_eq(&analysis.ir, &ir));
+        assert!(Arc::ptr_eq(&analysis.cus, &cus));
+        assert!(Arc::ptr_eq(&analysis.profile, &prof.profile));
+        assert!(Arc::ptr_eq(&analysis.pet, &prof.pet));
     }
 
     #[test]

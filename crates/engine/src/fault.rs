@@ -9,8 +9,9 @@
 //! same engine binary exercises every failure mode reproducibly.
 //!
 //! The fault-injection test suite (`tests/faults.rs`) drives plans across
-//! every stage × mode × job-count combination; [`xorshift64`] is the
-//! shared deterministic PRNG for randomized plan/corruption selection.
+//! every stage × mode × job-count combination; [`crate::xorshift64`] (the
+//! workspace PRNG, re-exported from `parpat_minilang::genprog`) drives
+//! randomized plan/corruption selection.
 
 use crate::error::ErrorKind;
 use crate::stage::Stage;
@@ -60,35 +61,11 @@ impl FaultPlan {
     }
 }
 
-/// The xorshift64* step used by the deterministic fuzz/selection tests.
-/// `state` must be nonzero; the stream is fully determined by the seed.
-pub fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-
-    #[test]
-    fn xorshift_is_deterministic_and_nondegenerate() {
-        let mut a = 42;
-        let mut b = 42;
-        let xs: Vec<u64> = (0..64).map(|_| xorshift64(&mut a)).collect();
-        let ys: Vec<u64> = (0..64).map(|_| xorshift64(&mut b)).collect();
-        assert_eq!(xs, ys);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 64, "no repeats in a short stream");
-    }
 
     #[test]
     fn plans_compare_by_value() {

@@ -39,12 +39,12 @@
 //! (different inputs or configuration) is discarded wholesale — resuming
 //! never mixes results from two different runs.
 //!
-//! Format v3 adds a per-record FNV-1a checksum to the frame line
-//! (`rec <len> <fnv:016x>\n`), so bit-rot *inside* a complete record —
-//! which v2's length framing cannot see — stops the scan at the damaged
-//! record instead of replaying corrupted results. v2 journals (and v2
-//! frames inside a resumed journal that later accumulated v3 appends)
-//! stay readable; new headers and appends are always v3. [`ScanOut::tail`]
+//! Every frame line carries a mandatory FNV-1a checksum of its payload
+//! (`rec <len> <fnv:016x>\n`, format v3), so bit-rot *inside* a complete
+//! record stops the scan at the damaged record instead of replaying
+//! corrupted results. A frame without the checksum is malformed, and a
+//! header of any other format version is unreadable: resume starts a
+//! fresh journal and `parpat fsck` reports F001. [`ScanOut::tail`]
 //! reports *why* a scan stopped ([`TailIssue`]), which `parpat fsck` maps
 //! to stable diagnostic codes.
 //!
@@ -69,9 +69,7 @@ use crate::vfs::{RealFs, Vfs};
 /// Journal file name under the cache directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
 
-/// Legacy header magic: records framed without checksums.
-const MAGIC_V2: &str = "parpat-journal-v2";
-/// Current header magic: appends carry per-record FNV checksums.
+/// Header magic: every record frame carries an FNV checksum.
 const MAGIC: &str = "parpat-journal-v3";
 
 /// Ceiling on a single record's payload; anything larger is treated as
@@ -393,13 +391,11 @@ impl ScanOut {
 /// unreadable. Scanning stops — without error — at the first torn,
 /// checksum-failing, or malformed record, which is exactly the resume
 /// semantics: everything before the damage is trusted, everything after
-/// is re-analyzed. Both header generations (v2, v3) and both frame forms
-/// are accepted, including mixed in one file — a resumed v2 journal
-/// accumulates v3 appends.
+/// is re-analyzed.
 pub fn scan(bytes: &[u8]) -> Option<ScanOut> {
     let header_nl = bytes.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&bytes[..header_nl]).ok()?;
-    let run_hex = header.strip_prefix(MAGIC).or_else(|| header.strip_prefix(MAGIC_V2))?.trim();
+    let run_hex = header.strip_prefix(MAGIC)?.trim();
     let run = u64::from_str_radix(run_hex, 16).ok()?;
     let header_end = header_nl + 1;
     let mut pos = header_end;
@@ -428,9 +424,8 @@ enum Step {
     Stop(TailIssue),
 }
 
-/// Parse the record starting at `pos`. Accepts the v2 frame
-/// (`rec <len>\n`) and the v3 frame (`rec <len> <fnv:016x>\n`, checksum
-/// verified over the payload).
+/// Parse the record starting at `pos`: a `rec <len> <fnv:016x>\n` frame
+/// line, then a payload whose checksum must match.
 fn next_record(bytes: &[u8], pos: usize) -> Step {
     let rest = &bytes[pos..];
     let Some(line_end) = rest.iter().position(|&b| b == b'\n') else {
@@ -445,13 +440,10 @@ fn next_record(bytes: &[u8], pos: usize) -> Step {
     let Some(len) = fields.next().and_then(|f| f.parse::<usize>().ok()) else {
         return Step::Stop(TailIssue::Malformed);
     };
-    let sum = match fields.next() {
-        None => None,
-        Some(f) if f.len() == 16 => match u64::from_str_radix(f, 16) {
-            Ok(s) => Some(s),
-            Err(_) => return Step::Stop(TailIssue::Malformed),
-        },
-        Some(_) => return Step::Stop(TailIssue::Malformed),
+    let Some(sum) =
+        fields.next().filter(|f| f.len() == 16).and_then(|f| u64::from_str_radix(f, 16).ok())
+    else {
+        return Step::Stop(TailIssue::Malformed);
     };
     if fields.next().is_some() || len > MAX_RECORD {
         return Step::Stop(TailIssue::Malformed);
@@ -460,7 +452,7 @@ fn next_record(bytes: &[u8], pos: usize) -> Step {
     let Some(payload) = rest.get(payload_start..payload_start + len) else {
         return Step::Stop(TailIssue::Torn);
     };
-    if sum.is_some_and(|expect| hash_bytes(payload) != expect) {
+    if hash_bytes(payload) != sum {
         return Step::Stop(TailIssue::Checksum);
     }
     let Some(rec) = parse_payload(payload) else {
@@ -767,18 +759,6 @@ mod tests {
         out
     }
 
-    /// Re-frame a v3 record as the legacy v2 form (`rec <len>\n`, no
-    /// checksum) — how pre-upgrade journals framed every record.
-    fn reframe_v2(v3: &[u8]) -> Vec<u8> {
-        let nl = v3.iter().position(|&b| b == b'\n').unwrap();
-        let frame = std::str::from_utf8(&v3[..nl]).unwrap();
-        let len: usize =
-            frame.strip_prefix("rec ").unwrap().split(' ').next().unwrap().parse().unwrap();
-        let mut out = format!("rec {len}\n").into_bytes();
-        out.extend_from_slice(&v3[nl + 1..nl + 1 + len]);
-        out
-    }
-
     #[test]
     fn records_round_trip_byte_identically() {
         for rec in sample_records() {
@@ -792,46 +772,15 @@ mod tests {
     }
 
     #[test]
-    fn a_v2_journal_with_v2_frames_stays_readable_and_takes_v3_appends() {
-        let dir = std::env::temp_dir().join(format!("parpat-journal-v2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Craft the journal exactly as the previous release wrote it:
-        // v2 header magic, no frame checksums.
-        let mut bytes = format!("{MAGIC_V2} {:016x}\n", 0xfeedu64).into_bytes();
-        bytes.extend_from_slice(&reframe_v2(&render_record(&Record::Prog(entry(0, 0, 0)))));
-        bytes.extend_from_slice(&reframe_v2(&render_record(&Record::Prog(entry(1, 0, 0)))));
-        std::fs::write(journal_path(&dir), &bytes).unwrap();
-
-        let (journal, replayed) = Journal::resume(&dir, 0xfeed).unwrap();
-        assert_eq!(replayed.entries, vec![entry(0, 0, 0), entry(1, 0, 0)]);
-        // New appends land as v3 frames in the same file; the mix scans.
-        journal.append(&entry(2, 0, 0)).unwrap();
-        drop(journal);
-        let parsed = scan(&std::fs::read(journal_path(&dir)).unwrap()).unwrap();
-        assert_eq!(parsed.records.len(), 3);
-        assert_eq!(parsed.tail, None);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn bit_rot_inside_a_complete_record_stops_the_scan() {
         let mut bytes = header_bytes(5).into_bytes();
         bytes.extend_from_slice(&render_record(&Record::Prog(entry(0, 0, 0))));
         let rot_at = bytes.len() - 3; // deep inside the record body
-        let tail_start = bytes.len();
         bytes[rot_at] ^= 0x40;
         bytes.extend_from_slice(&render_record(&Record::Prog(entry(1, 0, 0))));
         let parsed = scan(&bytes).unwrap();
         assert!(parsed.records.is_empty(), "a checksum-failing record must not replay");
         assert_eq!(parsed.tail, Some(TailIssue::Checksum));
-        // The same rot in a v2 frame is invisible to framing — the legacy
-        // blind spot this format version exists to close. (The flipped
-        // byte lands in the summary body, which carries no other check.)
-        let mut legacy = format!("{MAGIC_V2} {:016x}\n", 5u64).into_bytes();
-        legacy.extend_from_slice(&reframe_v2(&bytes[header_bytes(5).len()..tail_start]));
-        let parsed = scan(&legacy).unwrap();
-        assert_eq!(parsed.records.len(), 1, "v2 framing cannot detect body rot");
-        std::mem::drop(parsed);
     }
 
     #[test]
@@ -961,10 +910,24 @@ mod tests {
     #[test]
     fn hostile_record_length_is_rejected() {
         let mut bytes = header_bytes(9).into_bytes();
-        bytes.extend_from_slice(b"rec 99999999999999\nprog");
+        bytes.extend_from_slice(b"rec 99999999999999 0000000000000000\nprog");
         let parsed = scan(&bytes).unwrap();
         assert_eq!(parsed.run, 9);
         assert!(parsed.records.is_empty());
+        assert_eq!(parsed.tail, Some(TailIssue::Malformed));
+    }
+
+    #[test]
+    fn checksums_are_mandatory_and_old_headers_unreadable() {
+        let rec = render_record(&Record::Prog(entry(0, 0, 0)));
+        let nl = rec.iter().position(|&b| b == b'\n').unwrap();
+        // The frame line without its checksum field.
+        let frame = std::str::from_utf8(&rec[..nl]).unwrap().rsplit_once(' ').unwrap().0;
+        let mut bytes = header_bytes(4).into_bytes();
+        bytes.extend_from_slice(format!("{frame}\n").as_bytes());
+        bytes.extend_from_slice(&rec[nl + 1..]);
+        assert_eq!(scan(&bytes).unwrap().tail, Some(TailIssue::Malformed));
+        assert!(scan(format!("parpat-journal-v2 {:016x}\n", 4).as_bytes()).is_none());
     }
 
     #[test]

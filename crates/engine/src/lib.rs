@@ -76,10 +76,11 @@ pub use engine::{
     SANITIZER_REJECT_PREFIX,
 };
 pub use error::{EngineError, ErrorKind};
-pub use fault::{xorshift64, FaultMode, FaultPlan};
+pub use fault::{FaultMode, FaultPlan};
 pub use fsck::{fsck, Finding, FsckReport, Severity};
 pub use funcdigest::function_digests;
 pub use journal::{journal_path, Journal, JournalEntry, Record, Replay, StoredOutcome};
+pub use parpat_minilang::genprog::xorshift64;
 pub use report::{DegradedReport, ProgramReport};
 pub use shard::{
     run_sharded, run_worker, Ledger, ShardChaos, ShardConfig, ShardOutcome, WorkerOptions,

@@ -51,9 +51,9 @@ use std::time::{Duration, Instant};
 use parpat_runtime::{Supervised, WatchGuard, Watchdog, WatchdogConfig};
 
 use crate::engine::{store_outcome, BatchInput, BatchReport, Engine, EngineConfig};
-use crate::fault::xorshift64;
 use crate::journal::{journal_path, render_record, replay, scan, Journal, JournalEntry, Record};
 use crate::vfs::{RealFs, Vfs};
+use crate::xorshift64;
 
 /// Age after which another process may break the append lock: holders
 /// keep it only for one record append + fsync, so a lock this old belongs

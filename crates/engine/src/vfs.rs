@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use parpat_runtime::lock_recover;
 
-use crate::fault::xorshift64;
+use crate::xorshift64;
 
 /// `ENOSPC` as an `io::Error` (raw OS error: the stable way to model a
 /// full disk without unstable `ErrorKind` variants).

@@ -186,3 +186,45 @@ fn errors_are_reported_not_cached_as_results() {
     assert!(batch.outcomes[1].outcome.is_ok());
     assert_eq!(batch.outcomes[0].name, "bad", "order preserved despite error");
 }
+
+/// A disk record answers a stage's digest but not its artifact. When a
+/// downstream miss needs the artifact after all, the stage re-executes and
+/// its hit is demoted to a miss, so the counters report work actually done.
+/// Changing only a detector knob misses detect and rank, and their inputs
+/// must then materialize from a cold memory tier. A cosmetic edit of the
+/// same program keeps its disk hit at parse: its downstream stages hit the
+/// artifacts the first program left in memory, so its AST is never needed.
+#[test]
+fn disk_hits_are_demoted_when_their_artifact_is_needed() {
+    let dir = temp_dir("demote");
+    let input =
+        |name: &str, source: &str| BatchInput { name: name.to_owned(), source: source.to_owned() };
+    let inputs = vec![
+        input("pipe", PIPELINE_SRC),
+        input("oob", "global a[2]; fn main() { a[9] = 1; }"),
+        input("pipe-cosmetic", &PIPELINE_SRC.replace("a[i] = i * 2;", "a[i]  =  i * 2;")),
+    ];
+    let warm = engine(Some(dir.clone())).batch(inputs.clone(), 1);
+    assert!(warm.outcomes[0].outcome.is_ok() && warm.outcomes[1].outcome.is_degraded());
+
+    let analysis = AnalysisConfig { hotspot_threshold: 0.05, ..Default::default() };
+    let fresh = |cache_dir| {
+        Arc::new(Engine::new(EngineConfig { analysis, cache_dir, ..Default::default() }).unwrap())
+    };
+    let demoted = fresh(Some(dir.clone())).batch(inputs.clone(), 1);
+    let stats = &demoted.stats;
+    for s in Stage::ALL {
+        let st = stats.stage(s);
+        // `oob` fails at profile, so it never resolves detect or rank.
+        let expect = if matches!(s, Stage::Detect | Stage::Rank) { (1, 1, 1) } else { (1, 2, 2) };
+        assert_eq!((st.hits, st.misses, st.executed), expect, "{s}:\n{}", stats.render_text());
+    }
+    assert!(demoted.outcomes[2].fully_cached);
+    assert_eq!(demoted.outcomes[2].outcome.report(), demoted.outcomes[0].outcome.report());
+
+    // The demoted run computes exactly what an uncached engine computes.
+    let reference = fresh(None).batch(inputs, 1);
+    assert_eq!(demoted.outcomes[0].outcome.report(), reference.outcomes[0].outcome.report());
+    assert_eq!(demoted.outcomes[1].outcome.degraded(), reference.outcomes[1].outcome.degraded());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,12 +5,13 @@
 //! is deterministic across runs.
 
 use parpat_minilang::ast::*;
+use parpat_minilang::genprog::xorshift64;
 use parpat_minilang::lexer::lex;
 use parpat_minilang::parser::parse;
 use parpat_minilang::pretty::print_program;
 use parpat_minilang::sema::check;
 
-/// Minimal xorshift64* PRNG.
+/// Seeded PRNG stepping the workspace's xorshift64*.
 struct Rng(u64);
 
 impl Rng {
@@ -19,12 +20,7 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
+        xorshift64(&mut self.0)
     }
 
     fn below(&mut self, n: u64) -> u64 {

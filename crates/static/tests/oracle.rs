@@ -17,11 +17,12 @@
 
 #![allow(clippy::unwrap_used)]
 
+use parpat_minilang::genprog::xorshift64;
 use parpat_static::{analyze_ir, LoopReport, Verdict};
 
 const SZ: i64 = 64;
 
-/// Deterministic xorshift64* generator.
+/// Seeded PRNG stepping the workspace's xorshift64*.
 struct Rng(u64);
 
 impl Rng {
@@ -30,12 +31,7 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        xorshift64(&mut self.0)
     }
 
     /// Uniform-ish draw from `[lo, hi)`.

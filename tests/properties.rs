@@ -6,11 +6,12 @@
 //! dependencies) so every run exercises the same deterministic family.
 
 use parpat::core::{analyze_source, AnalysisConfig};
+use parpat::minilang::genprog::xorshift64;
 use parpat::minilang::{parser::parse, pretty::print_program};
 use parpat::runtime::{parallel_reduce, parallel_sum};
 use parpat::sim::{simulate, TaskGraph};
 
-/// Minimal xorshift64* PRNG — deterministic, seedable, no dependencies.
+/// Seeded PRNG stepping the workspace's xorshift64*.
 struct Rng(u64);
 
 impl Rng {
@@ -19,12 +20,7 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
+        xorshift64(&mut self.0)
     }
 
     /// Uniform in `[0, n)`.
