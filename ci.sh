@@ -69,7 +69,8 @@ cargo bench -p parpat-bench --bench static
 test -s BENCH_static.json
 # Profile-stage benchmark: every layer of the profile stage in M inst/s
 # over the suite and the scaled models, with the dependence profiler's
-# geomean overhead over the bare interpreter asserted (<= 4x) inside the
-# bench, emitted as a JSON report.
+# geomean overhead over the bare interpreter (<= 4x) and the differential
+# oracle's geomean time over the bare interpreter's (oracle_x <= 1.5x)
+# asserted inside the bench, emitted as a JSON report.
 cargo bench -p parpat-bench --bench profile
 test -s BENCH_profile.json

@@ -8,9 +8,10 @@
 //! - `interp`: the bare interpreter (`NullObserver`);
 //! - `profiler`: interpreter + `DependenceProfiler` (+ `into_data`);
 //! - `pet`: interpreter + `PetBuilder` (+ `into_pet`);
-//! - `oracle`: the reference AST evaluator the engine's differential
-//!   oracle runs (`evaluate_with_limits`), rated by the IR instructions of
-//!   the same program;
+//! - `oracle`: the resolved AST evaluator the engine's differential
+//!   oracle runs (`evaluate_with_limits` under
+//!   `EvalLimits::for_interpreter`, resolve pass included), rated by the
+//!   IR instructions of the same program;
 //! - `profile_ir`: the engine's profile stage (profiler and PET builder
 //!   teed onto one run);
 //! - `reference`: interpreter + the reference profiler the optimized one
@@ -18,9 +19,10 @@
 //!
 //! Each row's output is dropped after its clock stops. Rows run in the
 //! phases of [`PHASES`]; rates are medians, and ratios are medians of
-//! per-repetition ratios. The bench asserts that the profiler's geomean
-//! overhead over the bare interpreter on the scaled models stays within
-//! [`OVERHEAD_BOUND`].
+//! per-repetition ratios. On the scaled models the bench asserts that the
+//! profiler's geomean overhead over the bare interpreter stays within
+//! [`OVERHEAD_BOUND`], and that the oracle's geomean time over the bare
+//! interpreter's (`oracle_x`) stays within [`ORACLE_BOUND`].
 
 use std::any::Any;
 use std::hint::black_box;
@@ -39,6 +41,9 @@ const REPS: usize = 15;
 /// Largest accepted geomean of `profiler` time over `interp` time on the
 /// scaled models.
 const OVERHEAD_BOUND: f64 = 4.0;
+/// Largest accepted geomean of `oracle` time over `interp` time on the
+/// scaled models.
+const ORACLE_BOUND: f64 = 1.5;
 
 const ROWS: [&str; 6] = ["interp", "profiler", "pet", "oracle", "profile_ir", "reference"];
 
@@ -84,10 +89,10 @@ impl Prog {
                 Box::new(b.into_pet())
             }
             "oracle" => {
-                let eval = parpat_minilang::EvalLimits {
-                    max_steps: limits.max_insts.saturating_mul(4),
-                    max_call_depth: limits.max_call_depth,
-                };
+                let eval = parpat_minilang::EvalLimits::for_interpreter(
+                    limits.max_insts,
+                    limits.max_call_depth,
+                );
                 Box::new(parpat_minilang::evaluate_with_limits(&self.ast, eval).expect("runs"))
             }
             "profile_ir" => Box::new(parpat_core::profile_ir(ir, limits).expect("runs")),
@@ -140,6 +145,11 @@ impl Measured {
         self.ratio(0, "profiler", "interp")
     }
 
+    /// The oracle's time over the bare interpreter's.
+    fn oracle_x(&self) -> f64 {
+        self.ratio(0, "oracle", "interp")
+    }
+
     /// The reference profiler's time over the profile stage's.
     fn vs_reference(&self) -> f64 {
         self.ratio(1, "reference", "profile_ir")
@@ -151,13 +161,14 @@ impl Measured {
         let c = &self.counters;
         format!(
             "{{\"name\": \"{}\", \"insts\": {}, \"minsts_per_s\": {{{}}}, \
-             \"overhead_x\": {:.3}, \"profile_ir_vs_reference_x\": {:.3}, \
-             \"counters\": {{\"accesses\": {}, \"shadow_cells\": {}, \"context_nodes\": {}, \
+             \"overhead_x\": {:.3}, \"oracle_x\": {:.3}, \
+             \"profile_ir_vs_reference_x\": {:.3}, \"counters\":{{\"accesses\": {}, \"shadow_cells\": {}, \"context_nodes\": {}, \
              \"dep_inserts\": {}, \"distinct_deps\": {}}}}}",
             self.name,
             self.insts,
             rates.join(", "),
             self.overhead(),
+            self.oracle_x(),
             self.vs_reference(),
             c.accesses,
             c.shadow_cells,
@@ -202,9 +213,11 @@ fn measure(name: &str, progs: &[Prog], limits: ExecLimits) -> Measured {
     let m = Measured { name: name.to_owned(), insts, samples, counters };
     let rates: Vec<String> = ROWS.iter().map(|r| format!("{r} {:.2}", m.minsts_per_s(r))).collect();
     println!(
-        "profile/{name:<18} {insts:>9} insts  M inst/s: {}  overhead {:.2}x  vs reference {:.2}x",
+        "profile/{name:<18} {insts:>9} insts  M inst/s: {}  overhead {:.2}x  oracle {:.2}x  \
+         vs reference {:.2}x",
         rates.join("  "),
         m.overhead(),
+        m.oracle_x(),
         m.vs_reference(),
     );
     m
@@ -224,16 +237,19 @@ fn main() {
     }
     let scaled = &measured[1..];
     let overhead = geomean(scaled.iter().map(Measured::overhead));
+    let oracle_x = geomean(scaled.iter().map(Measured::oracle_x));
     let vs_reference = geomean(scaled.iter().map(Measured::vs_reference));
     println!(
         "profile/scaled geomean: profiler overhead {overhead:.2}x over interp (bound \
-         {OVERHEAD_BOUND}x), profile_ir {vs_reference:.2}x the reference profiler"
+         {OVERHEAD_BOUND}x), oracle {oracle_x:.2}x over interp (bound {ORACLE_BOUND}x), \
+         profile_ir {vs_reference:.2}x the reference profiler"
     );
 
     let rows: Vec<String> = measured.iter().map(Measured::json).collect();
     let json = format!(
         "{{\"reps\": {REPS}, \"overhead_bound_x\": {OVERHEAD_BOUND:.1}, \
-         \"scaled_geomean\": {{\"overhead_x\": {overhead:.3}, \
+         \"oracle_bound_x\": {ORACLE_BOUND:.1}, \
+         \"scaled_geomean\": {{\"overhead_x\": {overhead:.3}, \"oracle_x\": {oracle_x:.3}, \
          \"profile_ir_vs_reference_x\": {vs_reference:.3}}}, \"programs\": [{}]}}\n",
         rows.join(", ")
     );
@@ -245,5 +261,10 @@ fn main() {
         overhead <= OVERHEAD_BOUND,
         "profiler overhead over the bare interpreter is {overhead:.2}x on the scaled models \
          (geomean), above the {OVERHEAD_BOUND}x bound"
+    );
+    assert!(
+        oracle_x <= ORACLE_BOUND,
+        "the differential oracle takes {oracle_x:.2}x the bare interpreter's time on the scaled \
+         models (geomean), above the {ORACLE_BOUND}x bound"
     );
 }

@@ -267,6 +267,7 @@ struct BatchCounters {
     verified: AtomicU64,
     sanitizer_rejects: AtomicU64,
     miscompiles: AtomicU64,
+    oracle_ns: AtomicU64,
 }
 
 impl BatchCounters {
@@ -808,6 +809,7 @@ impl Engine {
             verified: counters.verified.load(Ordering::Relaxed),
             sanitizer_rejects: counters.sanitizer_rejects.load(Ordering::Relaxed),
             miscompiles: counters.miscompiles.load(Ordering::Relaxed),
+            oracle_wall: Duration::from_nanos(counters.oracle_ns.load(Ordering::Relaxed)),
             jobs,
             wall,
             cache: CacheStats {
@@ -869,6 +871,9 @@ struct ProgRun<'e> {
     states: [St; 7],
     wall: [Duration; 7],
     insts_executed: u64,
+    /// Wall time of this attempt's differential-oracle check (zero when
+    /// it did not run).
+    oracle_wall: Duration,
     /// Functions whose per-function stage fragments (static, CU) actually
     /// executed during this attempt.
     funcs_reanalyzed: HashSet<FuncId>,
@@ -903,6 +908,7 @@ impl<'e> ProgRun<'e> {
             states: [St::Unresolved; 7],
             wall: [Duration::ZERO; 7],
             insts_executed: 0,
+            oracle_wall: Duration::ZERO,
             funcs_reanalyzed: HashSet::new(),
             pass_timings: Vec::new(),
             slots: Default::default(),
@@ -928,6 +934,7 @@ impl<'e> ProgRun<'e> {
         counters.stages[Stage::Profile.index()]
             .insts
             .fetch_add(self.insts_executed, Ordering::Relaxed);
+        counters.oracle_ns.fetch_add(self.oracle_wall.as_nanos() as u64, Ordering::Relaxed);
         counters.funcs_reanalyzed.fetch_add(self.funcs_reanalyzed.len() as u64, Ordering::Relaxed);
         for t in &self.pass_timings {
             if let Some(i) = PASS_NAMES.iter().position(|n| *n == t.name) {
@@ -1314,7 +1321,10 @@ impl<'e> ProgRun<'e> {
             })?
             .map_err(|e| EngineError::from_analyze(Stage::Profile, &e))?;
         self.insts_executed += run.insts;
-        self.oracle_check(&ast, &run)?;
+        let start = Instant::now();
+        let checked = self.oracle_check(&ast, &run);
+        self.oracle_wall = start.elapsed();
+        checked?;
         if self.eng.sanitize {
             let rejects = parpat_profile::sanitize_profile(&ir, &run.profile);
             if !rejects.is_empty() {
@@ -1346,13 +1356,8 @@ impl<'e> ProgRun<'e> {
         run: &parpat_core::ProfiledRun,
     ) -> Result<(), EngineError> {
         let limits = self.eng.cfg.limits;
-        let eval_limits = parpat_minilang::EvalLimits {
-            // The oracle counts AST nodes, the interpreter IR instructions;
-            // a generous multiple keeps valid programs from tripping the
-            // oracle budget before the interpreter's own ceiling would.
-            max_steps: limits.max_insts.saturating_mul(4),
-            max_call_depth: limits.max_call_depth,
-        };
+        let eval_limits =
+            parpat_minilang::EvalLimits::for_interpreter(limits.max_insts, limits.max_call_depth);
         match parpat_minilang::evaluate_with_limits(ast, eval_limits) {
             Ok(oracle) => {
                 if let Some(report) =

@@ -170,6 +170,11 @@ pub struct EngineStats {
     /// Programs where the IR verifier or the differential oracle caught
     /// the pipeline producing wrong artifacts.
     pub miscompiles: u64,
+    /// Total wall time of the differential-oracle checks, one per
+    /// executed profile stage whose interpreter run finished. The oracle
+    /// replays the program after the profile stage's function returns, so
+    /// this time is not part of the profile stage's `wall`.
+    pub oracle_wall: Duration,
     /// Worker threads the batch ran on.
     pub jobs: u64,
     /// End-to-end batch wall time.
@@ -264,6 +269,15 @@ impl EngineStats {
                 st.insts
             ));
         }
+        out.push_str(&format!(
+            "{:<10} {:>9} {:>9} {:>9} {:>12} {:>14}\n",
+            "oracle",
+            "-",
+            "-",
+            "-",
+            fmt_duration(self.oracle_wall),
+            "-"
+        ));
         let rate = match self.hit_rate() {
             Some(r) => format!("{:.1}%", r * 100.0),
             None => "n/a".to_owned(),
@@ -306,7 +320,7 @@ impl EngineStats {
             ));
         }
         format!(
-            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"retries\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"workers\": {}, \"leases_expired\": {}, \"work_requeued\": {}, \"fenced_stale_results\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
+            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"retries\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"workers\": {}, \"leases_expired\": {}, \"work_requeued\": {}, \"fenced_stale_results\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"oracle_wall_ns\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
             self.programs,
             self.requests,
             self.served_from_cache,
@@ -333,6 +347,7 @@ impl EngineStats {
             self.verified,
             self.sanitizer_rejects,
             self.miscompiles,
+            self.oracle_wall.as_nanos(),
             self.jobs,
             self.wall.as_nanos(),
             stages,
@@ -427,6 +442,7 @@ mod tests {
             verified: 16,
             sanitizer_rejects: 2,
             miscompiles: 1,
+            oracle_wall: Duration::from_millis(3),
             jobs: 8,
             wall: Duration::from_millis(40),
             cache: CacheStats {
@@ -467,6 +483,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("16 verified, 2 sanitizer reject(s), 1 miscompile(s)"));
+        assert!(
+            text.contains("oracle             -         -         -        3.0ms              -"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -509,6 +529,7 @@ mod tests {
         assert!(json.contains("\"verified\": 16"));
         assert!(json.contains("\"sanitizer_rejects\": 2"));
         assert!(json.contains("\"miscompiles\": 1"));
+        assert!(json.contains("\"oracle_wall_ns\": 3000000"));
         assert!(json.contains("\"recovered\": 3"));
         assert!(json.contains("\"journal_append_failed\": 6"));
         assert!(json.contains("\"quarantine_evicted\": 7"));
@@ -552,6 +573,7 @@ mod tests {
             verified: 0,
             sanitizer_rejects: 0,
             miscompiles: 0,
+            oracle_wall: Duration::ZERO,
             jobs: 1,
             wall: Duration::ZERO,
             cache: CacheStats::default(),

@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use parpat_core::{analyze_source, rank_patterns, render_ranking, AnalysisConfig, RankConfig};
 use parpat_engine::{BatchInput, Engine, EngineConfig, Stage};
@@ -171,6 +172,23 @@ fn in_memory_cache_hits_within_one_engine() {
     let second = eng.batch(inputs, 1);
     assert_eq!(second.stats.cache.hits, 7, "{}", second.stats.render_text());
     assert!(second.outcomes[0].fully_cached);
+}
+
+/// The differential oracle runs after the profile stage's function, so it
+/// has its own clock: a cold run of a program pays it once, and a rerun
+/// answered entirely from the cache never replays the program.
+#[test]
+fn oracle_wall_is_timed_on_a_cold_run_and_zero_when_fully_cached() {
+    let eng = engine(None);
+    let inputs = vec![BatchInput { name: "pipe".to_owned(), source: PIPELINE_SRC.to_owned() }];
+    let cold = eng.batch(inputs.clone(), 1);
+    assert!(cold.outcomes[0].outcome.is_ok());
+    assert!(cold.stats.oracle_wall > Duration::ZERO, "{}", cold.stats.render_text());
+
+    let warm = eng.batch(inputs, 1);
+    assert!(warm.outcomes[0].fully_cached);
+    assert_eq!(warm.stats.oracle_wall, Duration::ZERO);
+    assert!(warm.stats.render_json().contains("\"oracle_wall_ns\": 0,"));
 }
 
 #[test]

@@ -43,6 +43,8 @@ pub mod genprog;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+#[cfg(any(test, feature = "reference"))]
+pub mod reference;
 pub mod sema;
 pub mod token;
 
