@@ -69,7 +69,7 @@ use crate::digest::{hash_bytes, Fnv64};
 use crate::error::{EngineError, ErrorKind};
 use crate::fault::{FaultMode, FaultPlan};
 use crate::funcdigest::function_digests;
-use crate::journal::{Journal, JournalEntry, Replay, StoredOutcome};
+use crate::journal::{Journal, JournalEntry, StoredOutcome};
 use crate::report::{DegradedReport, ProgramReport};
 use crate::stage::Stage;
 use crate::stats::{CacheStats, EngineStats, SsaPassStats, StageCounters, StageStats};
@@ -242,9 +242,6 @@ struct BatchCounters {
     retries: AtomicU64,
     stall_requeued: AtomicU64,
     resumed: AtomicU64,
-    /// Stale fenced `prog` records discarded by journal replay (zombie
-    /// workers whose lease had been requeued before their result landed).
-    fenced_stale: AtomicU64,
     /// Journal appends that failed (disk fault); the journal poisons
     /// itself after the first, so every later program counts here too.
     journal_append_failed: AtomicU64,
@@ -526,18 +523,16 @@ impl Engine {
         let run_d = self.run_digest(&inputs);
         let (journal, replayed) = match self.cache.dir() {
             Some(dir) if self.resume => match Journal::resume_via(self.vfs.clone(), dir, run_d) {
-                Ok((j, replay)) => (Some(Arc::new(j)), replay),
-                Err(_) => (None, Replay::default()),
+                Ok((j, entries)) => (Some(Arc::new(j)), entries),
+                Err(_) => (None, Vec::new()),
             },
-            Some(dir) => (
-                Journal::start_via(self.vfs.clone(), dir, run_d).ok().map(Arc::new),
-                Replay::default(),
-            ),
-            None => (None, Replay::default()),
+            Some(dir) => {
+                (Journal::start_via(self.vfs.clone(), dir, run_d).ok().map(Arc::new), Vec::new())
+            }
+            None => (None, Vec::new()),
         };
-        counters.fenced_stale.store(replayed.fenced_stale, Ordering::Relaxed);
         let mut restored: HashMap<usize, StoredOutcome> = HashMap::new();
-        for e in replayed.entries {
+        for e in replayed {
             if e.index < n {
                 restored.insert(e.index, e.outcome);
             }
@@ -606,7 +601,7 @@ impl Engine {
         }
         let po = self.run_one(input, index, counters, None);
         if let Some(j) = journal {
-            let entry = JournalEntry { index, worker: 0, fence: 0, outcome: store_outcome(&po) };
+            let entry = JournalEntry { index, outcome: store_outcome(&po) };
             if j.append(&entry).is_err() {
                 counters.journal_append_failed.fetch_add(1, Ordering::Relaxed);
             }
@@ -616,10 +611,8 @@ impl Engine {
 
     /// Digest identifying this batch run: inputs (names + sources) plus
     /// every configuration knob that shapes the outputs. A journal is only
-    /// replayed into a batch with the same digest. Public so sharded
-    /// workers can verify they were launched against the same run their
-    /// coordinator journaled.
-    pub fn run_digest(&self, inputs: &[BatchInput]) -> u64 {
+    /// replayed into a batch with the same digest.
+    fn run_digest(&self, inputs: &[BatchInput]) -> u64 {
         let mut h = Fnv64::new();
         h.write(b"batch-run");
         h.write_u64(inputs.len() as u64);
@@ -786,10 +779,6 @@ impl Engine {
             retries: counters.retries.load(Ordering::Relaxed),
             stall_requeued: counters.stall_requeued.load(Ordering::Relaxed),
             resumed: counters.resumed.load(Ordering::Relaxed),
-            workers: 0,
-            leases_expired: 0,
-            work_requeued: 0,
-            fenced_stale_results: counters.fenced_stale.load(Ordering::Relaxed),
             journal_append_failed: counters.journal_append_failed.load(Ordering::Relaxed),
             requests_shed: counters.requests_shed.load(Ordering::Relaxed),
             deadline_exceeded: counters.deadline_exceeded.load(Ordering::Relaxed),
@@ -826,7 +815,7 @@ impl Engine {
 }
 
 /// Freeze a finished program outcome into its journal form.
-pub(crate) fn store_outcome(po: &ProgramOutcome) -> StoredOutcome {
+fn store_outcome(po: &ProgramOutcome) -> StoredOutcome {
     match &po.outcome {
         AnalysisOutcome::Ok(r) => {
             StoredOutcome::Ok { report: (**r).clone(), fully_cached: po.fully_cached }

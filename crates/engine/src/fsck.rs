@@ -1,10 +1,10 @@
 //! `parpat fsck` — offline scrubber for a run directory.
 //!
 //! Walks everything the durability layer persists under a cache/run
-//! directory — the journal/ledger (`journal.wal`), the append lock
-//! (`journal.lock`), and the disk cache tier (`*.rec`) — and validates
-//! each against its own invariants, reporting damage under **stable
-//! diagnostic codes** (like `parpat lint`'s P/L/V codes):
+//! directory — the journal (`journal.wal`) and the disk cache tier
+//! (`*.rec`) — and validates each against its own invariants, reporting
+//! damage under **stable diagnostic codes** (like `parpat lint`'s P/L/V
+//! codes):
 //!
 //! | code | severity | meaning |
 //! |------|----------|---------|
@@ -12,11 +12,6 @@
 //! | F002 | warning  | journal ends mid-record (torn append — the expected cost of a crash) |
 //! | F003 | error    | journal record checksum mismatch (bit-rot inside a durable record) |
 //! | F004 | error    | journal record complete but malformed |
-//! | F010 | warning  | double claim for one index (broken append lock; replay fences it) |
-//! | F011 | error    | claim fence not monotonically increasing (protocol violation) |
-//! | F012 | info     | stale release (release not matching the active lease) |
-//! | F013 | info     | fenced-stale result (zombie worker's late record; replay discards it) |
-//! | F015 | warning  | orphaned append lock (no live writer should exist offline) |
 //! | F020 | error    | cache record malformed |
 //! | F021 | error    | cache record checksum mismatch (bit-rot) |
 //! | F022 | warning  | orphaned cache temp file (crash between write and rename) |
@@ -27,35 +22,31 @@
 //! record (exactly what `--resume` would do, made explicit and
 //! inspectable); an unreadable journal is quarantined whole; rotted
 //! cache records are renamed to `.corrupt` (the cache regenerates the
-//! slot); orphaned locks and temps are removed. Repair never deletes the
+//! slot); orphaned temps are removed. Repair never deletes the
 //! only copy of anything — damage is moved aside, not destroyed.
 //!
 //! Everything goes through a [`Vfs`] handle, so the crash-consistency
 //! harness can corrupt a simulated disk and assert fsck finds every
 //! seeded fault.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::cache::{check_record, RecordIssue};
-use crate::journal::{journal_path, scan, Record, TailIssue};
+use crate::journal::{journal_path, scan, TailIssue};
 use crate::vfs::Vfs;
 
 /// How bad one finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Expected residue of normal crash recovery; nothing to do.
-    Info,
     /// Unexpected but handled (or handleable) state.
     Warning,
-    /// Data damage or a protocol violation.
+    /// Data damage.
     Error,
 }
 
 impl Severity {
     fn name(self) -> &'static str {
         match self {
-            Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -82,8 +73,8 @@ pub struct Finding {
 /// The scrub's outcome: every finding plus scan coverage counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// All findings, in deterministic order (journal first, in record
-    /// order; then the lock; then cache files in sorted path order).
+    /// All findings, in deterministic order (journal first, then cache
+    /// files in sorted path order).
     pub findings: Vec<Finding>,
     /// Complete journal records scanned.
     pub journal_records: u64,
@@ -119,11 +110,10 @@ impl FsckReport {
             return out;
         }
         out.push_str(&format!(
-            "fsck {}: {} error(s), {} warning(s), {} info ({} journal record(s), {} cache record(s) scanned)\n",
+            "fsck {}: {} error(s), {} warning(s) ({} journal record(s), {} cache record(s) scanned)\n",
             dir.display(),
             self.count(Severity::Error),
             self.count(Severity::Warning),
-            self.count(Severity::Info),
             self.journal_records,
             self.cache_records
         ));
@@ -155,13 +145,11 @@ pub fn fsck(vfs: &dyn Vfs, dir: &Path, repair: bool) -> std::io::Result<FsckRepo
     let mut report = FsckReport::default();
     let listing = vfs.list_dir(dir)?;
     check_journal(vfs, dir, repair, &mut report);
-    check_lock(vfs, dir, repair, &mut report, &listing);
     check_cache(vfs, repair, &mut report, &listing);
     Ok(report)
 }
 
-/// Validate the journal: header, per-record integrity, and the ledger's
-/// fencing invariants over the record sequence.
+/// Validate the journal: header and per-record integrity.
 fn check_journal(vfs: &dyn Vfs, dir: &Path, repair: bool, report: &mut FsckReport) {
     let wal = journal_path(dir);
     let Ok(bytes) = vfs.read(&wal) else {
@@ -210,125 +198,11 @@ fn check_journal(vfs: &dyn Vfs, dir: &Path, repair: bool, report: &mut FsckRepor
         report.findings.push(Finding {
             code,
             severity,
-            path: wal.clone(),
+            path: wal,
             detail: format!("{what} at byte {valid_end}"),
             repaired,
         });
     }
-    check_fencing(&wal, &parsed.records, report);
-}
-
-/// Walk the record sequence with the same rules [`crate::journal::replay`]
-/// applies, flagging every state the protocol only reaches through a
-/// fault: duplicate claims (broken append lock), non-monotone fences
-/// (protocol violation), stale releases and fenced-out results (normal
-/// crash residue, reported as info so an operator can see recovery at
-/// work).
-fn check_fencing(wal: &Path, records: &[(Record, usize)], report: &mut FsckReport) {
-    let mut claims: HashMap<usize, (u64, u64)> = HashMap::new();
-    let mut completed: HashMap<usize, ()> = HashMap::new();
-    let mut max_fence = 0u64;
-    let mut finding = |code, severity, detail| {
-        report.findings.push(Finding {
-            code,
-            severity,
-            path: wal.to_path_buf(),
-            detail,
-            repaired: None,
-        });
-    };
-    for (i, (rec, _)) in records.iter().enumerate() {
-        match rec {
-            Record::Claim { index, worker, fence, .. } => {
-                if *fence <= max_fence {
-                    finding(
-                        "F011",
-                        Severity::Error,
-                        format!(
-                            "record {i}: claim on index {index} reuses fence {fence} (high water {max_fence}) — fencing must be monotone"
-                        ),
-                    );
-                }
-                max_fence = max_fence.max(*fence);
-                if completed.contains_key(index) {
-                    continue;
-                }
-                if let Some((f, w)) = claims.get(index) {
-                    finding(
-                        "F010",
-                        Severity::Warning,
-                        format!(
-                            "record {i}: index {index} claimed by worker {worker} fence {fence} while worker {w} fence {f} holds it — the append lock was broken; replay fences the loser"
-                        ),
-                    );
-                }
-                let cand = (*fence, *worker);
-                let cur = claims.entry(*index).or_insert(cand);
-                if cand < *cur {
-                    *cur = cand;
-                }
-            }
-            Record::Beat { fence, .. } => max_fence = max_fence.max(*fence),
-            Record::Release { index, worker, fence } => {
-                if claims.get(index) == Some(&(*fence, *worker)) {
-                    claims.remove(index);
-                } else {
-                    finding(
-                        "F012",
-                        Severity::Info,
-                        format!(
-                            "record {i}: release of index {index} by worker {worker} fence {fence} does not match the active lease (stale release; ignored on replay)"
-                        ),
-                    );
-                }
-            }
-            Record::Prog(e) => {
-                max_fence = max_fence.max(e.fence);
-                let accepted = !completed.contains_key(&e.index)
-                    && (e.fence == 0 || claims.get(&e.index) == Some(&(e.fence, e.worker)));
-                if accepted {
-                    claims.remove(&e.index);
-                    completed.insert(e.index, ());
-                } else {
-                    finding(
-                        "F013",
-                        Severity::Info,
-                        format!(
-                            "record {i}: result for index {} from worker {} fence {} is fenced out (zombie worker; discarded on replay)",
-                            e.index, e.worker, e.fence
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// An append lock with no live writer: fsck runs offline, so any lock is
-/// a leftover. Repair removes it (the fencing tokens make this safe even
-/// if a writer *does* race us — its next claim is detectably stale).
-fn check_lock(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    repair: bool,
-    report: &mut FsckReport,
-    listing: &[PathBuf],
-) {
-    let lock = dir.join("journal.lock");
-    if !listing.contains(&lock) {
-        return;
-    }
-    let repaired = repair.then(|| match vfs.remove_file(&lock) {
-        Ok(()) => "removed".to_owned(),
-        Err(e) => format!("removal failed: {e}"),
-    });
-    report.findings.push(Finding {
-        code: "F015",
-        severity: Severity::Warning,
-        path: lock,
-        detail: "orphaned append lock (no writer should be live during fsck)".to_owned(),
-        repaired,
-    });
 }
 
 /// Validate every disk cache record and flag crash-orphaned temp files.
@@ -408,17 +282,13 @@ mod tests {
 
     use super::*;
     use crate::error::{EngineError, ErrorKind};
-    use crate::journal::{
-        header_bytes, render_record, Journal, JournalEntry, Record, StoredOutcome,
-    };
+    use crate::journal::{Journal, JournalEntry, StoredOutcome};
     use crate::stage::Stage;
     use crate::vfs::SimFs;
 
-    fn entry(index: usize, worker: u64, fence: u64) -> JournalEntry {
+    fn entry(index: usize) -> JournalEntry {
         JournalEntry {
             index,
-            worker,
-            fence,
             outcome: StoredOutcome::Err(EngineError::new(Stage::Parse, ErrorKind::Lang, "x")),
         }
     }
@@ -426,8 +296,8 @@ mod tests {
     fn run_dir(vfs: &Arc<SimFs>) -> PathBuf {
         let dir = PathBuf::from("/run");
         let journal = Journal::start_via(vfs.clone(), &dir, 0xbeef).unwrap();
-        journal.append(&entry(0, 0, 0)).unwrap();
-        journal.append(&entry(1, 0, 0)).unwrap();
+        journal.append(&entry(0)).unwrap();
+        journal.append(&entry(1)).unwrap();
         dir
     }
 
@@ -451,14 +321,13 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x01;
         vfs.create_sync(&wal, &bytes).unwrap();
-        // An orphaned lock, an orphaned temp, and a rotted cache record.
-        vfs.create_sync(&dir.join("journal.lock"), b"pid 1 seq 0\n").unwrap();
+        // An orphaned temp and a rotted cache record.
         vfs.create_sync(&dir.join("00000000000000aa.tmp.1.2"), b"partial").unwrap();
         vfs.create_sync(&dir.join("00000000000000bb.rec"), b"parpat-rec-v2\nnot a record").unwrap();
 
         let report = fsck(vfs.as_ref(), &dir, false).unwrap();
         let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
-        assert_eq!(codes, vec!["F003", "F015", "F022", "F020"]);
+        assert_eq!(codes, vec!["F003", "F022", "F020"]);
         assert_eq!(report.errors_remaining(), 2);
     }
 
@@ -471,7 +340,6 @@ mod tests {
         let n = bytes.len();
         bytes[n - 2] ^= 0x01;
         vfs.create_sync(&wal, &bytes).unwrap();
-        vfs.create_sync(&dir.join("journal.lock"), b"pid 1 seq 0\n").unwrap();
         vfs.create_sync(&dir.join("00000000000000bb.rec"), b"garbage").unwrap();
 
         let report = fsck(vfs.as_ref(), &dir, true).unwrap();
@@ -482,7 +350,7 @@ mod tests {
         assert!(vfs.durable(&dir.join("00000000000000bb.corrupt")).is_some());
         // And the journal now resumes to exactly the undamaged prefix.
         let (_, replayed) = Journal::resume_via(vfs.clone(), &dir, 0xbeef).unwrap();
-        assert_eq!(replayed.entries, vec![entry(0, 0, 0)]);
+        assert_eq!(replayed, vec![entry(0)]);
         // A second pass over the repaired directory is clean.
         let report = fsck(vfs.as_ref(), &dir, false).unwrap();
         assert_eq!(report.findings, vec![], "{}", report.render(&dir));
@@ -498,30 +366,6 @@ mod tests {
         assert_eq!(report.errors_remaining(), 0);
         assert!(vfs.durable(&journal_path(&dir)).is_none());
         assert!(vfs.durable(&dir.join("journal.wal.corrupt")).is_some());
-    }
-
-    #[test]
-    fn fencing_anomalies_map_to_their_codes() {
-        let vfs = Arc::new(SimFs::new());
-        let dir = PathBuf::from("/run");
-        let wal = journal_path(&dir);
-        let mut bytes = header_bytes(0xbeef).into_bytes();
-        for rec in [
-            Record::Claim { index: 0, worker: 1, fence: 3, lease_ms: 100 },
-            // Double claim under a *reused* fence: F011 + F010.
-            Record::Claim { index: 0, worker: 2, fence: 3, lease_ms: 100 },
-            // Release that matches nothing: F012.
-            Record::Release { index: 7, worker: 9, fence: 1 },
-            // Fenced-out zombie result: F013.
-            Record::Prog(entry(0, 9, 2)),
-        ] {
-            bytes.extend_from_slice(&render_record(&rec));
-        }
-        vfs.create_sync(&wal, &bytes).unwrap();
-        let report = fsck(vfs.as_ref(), &dir, false).unwrap();
-        let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
-        assert_eq!(codes, vec!["F011", "F010", "F012", "F013"]);
-        assert_eq!(report.errors_remaining(), 1, "only the fence reuse is an error");
     }
 
     #[test]

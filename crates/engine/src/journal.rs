@@ -1,5 +1,4 @@
-//! The batch journal: a write-ahead log doubling as a work-distribution
-//! ledger.
+//! The batch journal: a write-ahead log of finished programs.
 //!
 //! A batch writes one fsynced record per *finished* program into
 //! `journal.wal` under the cache directory, keyed by a run digest over the
@@ -8,28 +7,9 @@
 //! every program with a complete record is restored byte-identically from
 //! its record and skipped; only the unfinished tail is re-analyzed.
 //!
-//! Since the sharded-batch work (`parpat batch --workers N`) the journal
-//! carries four record kinds, not one:
-//!
-//! - `prog <idx> <worker> <fence> ...` — a finished program (the PR-4
-//!   record, now stamped with the worker that produced it and the fencing
-//!   token of its lease; single-process batches write `worker 0 fence 0`).
-//! - `claim <idx> <worker> <fence> <lease_ms>` — worker `worker` took a
-//!   lease on batch index `idx` under monotonically-increasing fencing
-//!   token `fence`.
-//! - `beat <idx> <worker> <fence>` — lease renewal heartbeat.
-//! - `release <idx> <worker> <fence>` — the lease was given up (worker
-//!   done-elsewhere, or the coordinator expired it); the index is
-//!   claimable again.
-//!
-//! [`replay`] folds a record sequence into the set of completed programs
-//! deterministically: a `prog` under a fencing token is accepted only if
-//! that token still holds the index's active claim, so a zombie worker —
-//! SIGKILLed, lease expired, index requeued, yet its stale record arrives
-//! anyway — is detected (`fenced_stale`) and discarded rather than
-//! clobbering the requeued result. When two `claim` records race for one
-//! index (a broken append lock), the lowest `(fence, worker)` pair wins on
-//! replay, so every process derives the same owner.
+//! Every record is `prog <idx> ok|degraded|err ...`: the batch index and
+//! the program's full outcome. [`replay`] keeps the first record of each
+//! index.
 //!
 //! The format is torn-write tolerant by construction: the file is a header
 //! line followed by length-prefixed records, and [`scan`] stops at the
@@ -40,7 +20,7 @@
 //! never mixes results from two different runs.
 //!
 //! Every frame line carries a mandatory FNV-1a checksum of its payload
-//! (`rec <len> <fnv:016x>\n`, format v3), so bit-rot *inside* a complete
+//! (`rec <len> <fnv:016x>\n`, format v4), so bit-rot *inside* a complete
 //! record stops the scan at the damaged record instead of replaying
 //! corrupted results. A frame without the checksum is malformed, and a
 //! header of any other format version is unreadable: resume starts a
@@ -54,7 +34,7 @@
 //! are refused instead of risking interleaved garbage after a partial
 //! record, and the engine accounts each refusal.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -69,8 +49,9 @@ use crate::vfs::{RealFs, Vfs};
 /// Journal file name under the cache directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
 
-/// Header magic: every record frame carries an FNV checksum.
-const MAGIC: &str = "parpat-journal-v3";
+/// Header magic: every record frame carries an FNV checksum, and a `prog`
+/// record holds only its index and outcome. Older versions are unreadable.
+const MAGIC: &str = "parpat-journal-v4";
 
 /// Ceiling on a single record's payload; anything larger is treated as
 /// corruption rather than allocated.
@@ -97,157 +78,29 @@ pub enum StoredOutcome {
     Err(EngineError),
 }
 
-/// One completed-program record: which batch index finished, how, and
-/// under whose lease. Single-process batches write `worker 0, fence 0`
-/// (the unfenced record is always accepted on replay).
+/// One completed-program record: which batch index finished, and how.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// Batch input index.
     pub index: usize,
-    /// Worker id that produced the result (0 = in-process).
-    pub worker: u64,
-    /// Fencing token of the lease the result was produced under
-    /// (0 = unfenced single-process append).
-    pub fence: u64,
     /// The program's outcome.
     pub outcome: StoredOutcome,
 }
 
-/// One journal record of any kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// A finished program.
-    Prog(JournalEntry),
-    /// Worker `worker` leased batch index `index` under fencing token
-    /// `fence`, promising a heartbeat at least every `lease_ms`.
-    Claim {
-        /// Batch input index being leased.
-        index: usize,
-        /// Claiming worker id.
-        worker: u64,
-        /// Fencing token (monotonically increasing across the journal).
-        fence: u64,
-        /// Lease duration the worker promised to renew within.
-        lease_ms: u64,
-    },
-    /// Lease renewal heartbeat for an active claim.
-    Beat {
-        /// Leased batch index.
-        index: usize,
-        /// Renewing worker id.
-        worker: u64,
-        /// Fencing token of the renewed lease.
-        fence: u64,
-    },
-    /// The lease was given up (by the worker or by the coordinator after
-    /// expiry); the index is claimable again under a higher fence.
-    Release {
-        /// Batch index whose lease ends.
-        index: usize,
-        /// Worker id whose lease ends.
-        worker: u64,
-        /// Fencing token of the ended lease.
-        fence: u64,
-    },
-}
-
-/// A lease that is still open after [`replay`]: its index has neither a
-/// matching `release` nor an accepted `prog` record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenClaim {
-    /// Leased batch index.
-    pub index: usize,
-    /// Owning worker id.
-    pub worker: u64,
-    /// Fencing token of the lease.
-    pub fence: u64,
-}
-
-/// Deterministic fold of a record sequence: completed programs, leases
-/// still open, stale results discarded, and the high-water fencing token.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Replay {
-    /// Accepted completed programs, ordered by batch index.
-    pub entries: Vec<JournalEntry>,
-    /// Leases with no matching release and no accepted result, ordered by
-    /// index.
-    pub open_claims: Vec<OpenClaim>,
-    /// `prog` records discarded because their fencing token no longer held
-    /// the index's claim (zombie workers) or the index already completed.
-    pub fenced_stale: u64,
-    /// Highest fencing token seen; the next claim must use a larger one.
-    pub max_fence: u64,
-}
-
-/// Fold records into completion state. The rules, applied in record
-/// order:
-///
-/// - `claim`: ignored if the index already completed. If the index is
-///   already claimed, the *lowest* `(fence, worker)` pair keeps the lease
-///   — duplicate claims only arise from a broken append lock, and every
-///   replayer must pick the same winner.
-/// - `release`: ends the claim only if `(fence, worker)` matches the
-///   active one (a stale release cannot evict a newer lease).
-/// - `prog` with `fence == 0`: unfenced single-process record, accepted
-///   unless the index already completed.
-/// - `prog` with `fence > 0`: accepted only while `(fence, worker)` holds
-///   the index's active claim; otherwise counted in `fenced_stale` and
-///   discarded — this is what makes a zombie worker's late result
-///   harmless.
-pub fn replay<'a>(records: impl IntoIterator<Item = &'a Record>) -> Replay {
+/// Fold records into the completed programs, ordered by batch index. The
+/// first record of an index wins; a later one for the same index is
+/// ignored.
+pub fn replay<'a>(records: impl IntoIterator<Item = &'a JournalEntry>) -> Vec<JournalEntry> {
     let mut completed: BTreeMap<usize, JournalEntry> = BTreeMap::new();
-    let mut claims: HashMap<usize, (u64, u64)> = HashMap::new();
-    let mut fenced_stale = 0u64;
-    let mut max_fence = 0u64;
-    for rec in records {
-        match rec {
-            Record::Claim { index, worker, fence, .. } => {
-                max_fence = max_fence.max(*fence);
-                if completed.contains_key(index) {
-                    continue;
-                }
-                let cand = (*fence, *worker);
-                let cur = claims.entry(*index).or_insert(cand);
-                if cand < *cur {
-                    *cur = cand;
-                }
-            }
-            Record::Beat { fence, .. } => {
-                max_fence = max_fence.max(*fence);
-            }
-            Record::Release { index, worker, fence } => {
-                if claims.get(index) == Some(&(*fence, *worker)) {
-                    claims.remove(index);
-                }
-            }
-            Record::Prog(e) => {
-                max_fence = max_fence.max(e.fence);
-                if completed.contains_key(&e.index) {
-                    fenced_stale += 1;
-                    continue;
-                }
-                if e.fence == 0 || claims.get(&e.index) == Some(&(e.fence, e.worker)) {
-                    claims.remove(&e.index);
-                    completed.insert(e.index, e.clone());
-                } else {
-                    fenced_stale += 1;
-                }
-            }
-        }
+    for e in records {
+        completed.entry(e.index).or_insert_with(|| e.clone());
     }
-    let mut open_claims: Vec<OpenClaim> = claims
-        .into_iter()
-        .map(|(index, (fence, worker))| OpenClaim { index, worker, fence })
-        .collect();
-    open_claims.sort_by_key(|c| c.index);
-    Replay { entries: completed.into_values().collect(), open_claims, fenced_stale, max_fence }
+    completed.into_values().collect()
 }
 
 /// An open, append-only journal. Appends are serialized through a mutex
 /// and fsynced (`sync_data`) one record at a time, so every record the
-/// file contains describes a program whose results are durable. (Workers
-/// in a sharded batch append through [`crate::shard`]'s lock-file ledger
-/// instead — this handle covers the single-process path.)
+/// file contains describes a program whose results are durable.
 ///
 /// The first append that fails **poisons** the handle: the file may hold
 /// a partial record past the last valid boundary, and appending more
@@ -278,14 +131,14 @@ impl Journal {
     }
 
     /// Resume the journal for run `run` in `dir`: returns the reopened
-    /// journal plus the deterministic [`Replay`] of every complete record
-    /// it already holds. A missing journal, a run-digest mismatch, or a
+    /// journal plus the [`replay`] of every complete record it already
+    /// holds. A missing journal, a run-digest mismatch, or a
     /// garbage header all fall back to a fresh journal with no entries; a
     /// torn trailing record is truncated away before appending resumes.
     /// Any read error other than `NotFound` (EACCES, EIO, ...) propagates
     /// — a journal that exists but cannot be read must never be silently
     /// destroyed.
-    pub fn resume(dir: &Path, run: u64) -> std::io::Result<(Journal, Replay)> {
+    pub fn resume(dir: &Path, run: u64) -> std::io::Result<(Journal, Vec<JournalEntry>)> {
         Journal::resume_via(Arc::new(RealFs), dir, run)
     }
 
@@ -294,34 +147,34 @@ impl Journal {
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         run: u64,
-    ) -> std::io::Result<(Journal, Replay)> {
+    ) -> std::io::Result<(Journal, Vec<JournalEntry>)> {
         let path = journal_path(dir);
         let bytes = match vfs.read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((Journal::start_via(vfs, dir, run)?, Replay::default()));
+                return Ok((Journal::start_via(vfs, dir, run)?, Vec::new()));
             }
             Err(e) => return Err(e),
         };
         let Some(parsed) = scan(&bytes) else {
-            return Ok((Journal::start_via(vfs, dir, run)?, Replay::default()));
+            return Ok((Journal::start_via(vfs, dir, run)?, Vec::new()));
         };
         if parsed.run != run {
-            return Ok((Journal::start_via(vfs, dir, run)?, Replay::default()));
+            return Ok((Journal::start_via(vfs, dir, run)?, Vec::new()));
         }
         // Truncate the torn tail to the end of the last complete record —
         // or, with no records at all, to the header end `scan` measured.
         let valid_end = parsed.records.last().map_or(parsed.header_end as u64, |(_, e)| *e as u64);
         vfs.truncate_sync(&path, valid_end)?;
-        let records: Vec<Record> = parsed.records.into_iter().map(|(r, _)| r).collect();
-        Ok((Journal { vfs, path, poisoned: Mutex::new(false) }, replay(&records)))
+        let entries = replay(parsed.records.iter().map(|(e, _)| e));
+        Ok((Journal { vfs, path, poisoned: Mutex::new(false) }, entries))
     }
 
     /// Append one completed-program record and fsync it. Returns only
     /// after the record is durable. After the first failure the handle is
     /// poisoned and every later append is refused (see [`Journal`]).
     pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        let bytes = render_record(&Record::Prog(entry.clone()));
+        let bytes = render_record(entry);
         let mut poisoned = lock_recover(&self.poisoned);
         if *poisoned {
             return Err(std::io::Error::other(
@@ -343,7 +196,7 @@ impl Journal {
     }
 }
 
-/// The journal header line for run `run` (shared with the shard ledger).
+/// The journal header line for run `run`.
 pub fn header_bytes(run: u64) -> String {
     format!("{MAGIC} {run:016x}\n")
 }
@@ -375,16 +228,9 @@ pub struct ScanOut {
     pub header_end: usize,
     /// Complete records in file order, each with the offset where the next
     /// record starts.
-    pub records: Vec<(Record, usize)>,
+    pub records: Vec<(JournalEntry, usize)>,
     /// Why the scan stopped, if it stopped before the end of the file.
     pub tail: Option<TailIssue>,
-}
-
-impl ScanOut {
-    /// The records without their offsets.
-    pub fn into_records(self) -> Vec<Record> {
-        self.records.into_iter().map(|(r, _)| r).collect()
-    }
 }
 
 /// Parse journal bytes. Returns `None` when the header itself is
@@ -419,7 +265,7 @@ pub fn scan(bytes: &[u8]) -> Option<ScanOut> {
 /// Outcome of parsing one record position.
 enum Step {
     /// A good record and the offset just past it.
-    Rec(Record, usize),
+    Rec(JournalEntry, usize),
     /// Scanning must stop here.
     Stop(TailIssue),
 }
@@ -455,7 +301,7 @@ fn next_record(bytes: &[u8], pos: usize) -> Step {
     if hash_bytes(payload) != sum {
         return Step::Stop(TailIssue::Checksum);
     }
-    let Some(rec) = parse_payload(payload) else {
+    let Some(rec) = parse_prog(payload) else {
         return Step::Stop(TailIssue::Malformed);
     };
     Step::Rec(rec, pos + payload_start + len)
@@ -477,77 +323,59 @@ fn parse_csv(field: &str) -> Option<Vec<u32>> {
     field.split(',').map(|t| t.parse().ok()).collect()
 }
 
-/// Serialize one record into its length-prefixed wire form (shared by the
-/// in-process [`Journal`] and the multi-process shard ledger).
-pub fn render_record(rec: &Record) -> Vec<u8> {
-    let (head, body) = match rec {
-        Record::Claim { index, worker, fence, lease_ms } => {
-            (format!("claim {index} {worker} {fence} {lease_ms}"), Vec::new())
+/// Serialize one record into its length-prefixed wire form.
+pub fn render_record(entry: &JournalEntry) -> Vec<u8> {
+    let (head, body) = match &entry.outcome {
+        StoredOutcome::Ok { report: r, fully_cached } => {
+            let head = format!(
+                "prog {} ok {} {} {} {} {} {} {} {} {} {} {} {}",
+                entry.index,
+                u8::from(*fully_cached),
+                r.insts,
+                r.pipelines,
+                r.fusions,
+                r.reductions,
+                r.geodecomp,
+                r.task_regions,
+                r.static_doall,
+                csv(&r.input_sensitive),
+                csv(&r.consistency_errors),
+                r.summary.len(),
+                r.ranking.len(),
+            );
+            let mut body = Vec::with_capacity(r.summary.len() + r.ranking.len());
+            body.extend_from_slice(r.summary.as_bytes());
+            body.extend_from_slice(r.ranking.as_bytes());
+            (head, body)
         }
-        Record::Beat { index, worker, fence } => {
-            (format!("beat {index} {worker} {fence}"), Vec::new())
+        StoredOutcome::Degraded(d) => {
+            let head = format!(
+                "prog {} degraded {} {} {} {} {} {} {} {}",
+                entry.index,
+                d.reason.stage.name(),
+                d.reason.kind.name(),
+                d.loops,
+                d.cus,
+                d.regions,
+                csv(&d.doall_candidates),
+                d.reason.detail.len(),
+                d.summary.len(),
+            );
+            let mut body = Vec::with_capacity(d.reason.detail.len() + d.summary.len());
+            body.extend_from_slice(d.reason.detail.as_bytes());
+            body.extend_from_slice(d.summary.as_bytes());
+            (head, body)
         }
-        Record::Release { index, worker, fence } => {
-            (format!("release {index} {worker} {fence}"), Vec::new())
+        StoredOutcome::Err(e) => {
+            let head = format!(
+                "prog {} err {} {} {}",
+                entry.index,
+                e.stage.name(),
+                e.kind.name(),
+                e.detail.len(),
+            );
+            (head, e.detail.as_bytes().to_vec())
         }
-        Record::Prog(entry) => match &entry.outcome {
-            StoredOutcome::Ok { report: r, fully_cached } => {
-                let head = format!(
-                    "prog {} {} {} ok {} {} {} {} {} {} {} {} {} {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    u8::from(*fully_cached),
-                    r.insts,
-                    r.pipelines,
-                    r.fusions,
-                    r.reductions,
-                    r.geodecomp,
-                    r.task_regions,
-                    r.static_doall,
-                    csv(&r.input_sensitive),
-                    csv(&r.consistency_errors),
-                    r.summary.len(),
-                    r.ranking.len(),
-                );
-                let mut body = Vec::with_capacity(r.summary.len() + r.ranking.len());
-                body.extend_from_slice(r.summary.as_bytes());
-                body.extend_from_slice(r.ranking.as_bytes());
-                (head, body)
-            }
-            StoredOutcome::Degraded(d) => {
-                let head = format!(
-                    "prog {} {} {} degraded {} {} {} {} {} {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    d.reason.stage.name(),
-                    d.reason.kind.name(),
-                    d.loops,
-                    d.cus,
-                    d.regions,
-                    csv(&d.doall_candidates),
-                    d.reason.detail.len(),
-                    d.summary.len(),
-                );
-                let mut body = Vec::with_capacity(d.reason.detail.len() + d.summary.len());
-                body.extend_from_slice(d.reason.detail.as_bytes());
-                body.extend_from_slice(d.summary.as_bytes());
-                (head, body)
-            }
-            StoredOutcome::Err(e) => {
-                let head = format!(
-                    "prog {} {} {} err {} {} {}",
-                    entry.index,
-                    entry.worker,
-                    entry.fence,
-                    e.stage.name(),
-                    e.kind.name(),
-                    e.detail.len(),
-                );
-                (head, e.detail.as_bytes().to_vec())
-            }
-        },
     };
     let mut payload = Vec::with_capacity(head.len() + 1 + body.len());
     payload.extend_from_slice(head.as_bytes());
@@ -566,64 +394,27 @@ fn split_strings(body: &[u8], at: usize) -> Option<(String, String)> {
     Some((first, second))
 }
 
-fn parse_payload(payload: &[u8]) -> Option<Record> {
+fn parse_prog(payload: &[u8]) -> Option<JournalEntry> {
     let line_end = payload.iter().position(|&b| b == b'\n')?;
     let head = std::str::from_utf8(&payload[..line_end]).ok()?;
     let body = &payload[line_end + 1..];
     let tok: Vec<&str> = head.split(' ').collect();
-    match *tok.first()? {
-        "claim" => {
-            if tok.len() != 5 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Claim {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-                lease_ms: tok[4].parse().ok()?,
-            })
-        }
-        "beat" => {
-            if tok.len() != 4 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Beat {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-            })
-        }
-        "release" => {
-            if tok.len() != 4 || !body.is_empty() {
-                return None;
-            }
-            Some(Record::Release {
-                index: tok[1].parse().ok()?,
-                worker: tok[2].parse().ok()?,
-                fence: tok[3].parse().ok()?,
-            })
-        }
-        "prog" => parse_prog(&tok, body).map(Record::Prog),
-        _ => None,
+    if *tok.first()? != "prog" {
+        return None;
     }
-}
-
-fn parse_prog(tok: &[&str], body: &[u8]) -> Option<JournalEntry> {
     let index: usize = tok.get(1)?.parse().ok()?;
-    let worker: u64 = tok.get(2)?.parse().ok()?;
-    let fence: u64 = tok.get(3)?.parse().ok()?;
-    let outcome = match *tok.get(4)? {
+    let outcome = match *tok.get(2)? {
         "ok" => {
-            if tok.len() != 17 {
+            if tok.len() != 15 {
                 return None;
             }
-            let fully_cached = match tok[5] {
+            let fully_cached = match tok[3] {
                 "0" => false,
                 "1" => true,
                 _ => return None,
             };
-            let summary_len: usize = tok[15].parse().ok()?;
-            let ranking_len: usize = tok[16].parse().ok()?;
+            let summary_len: usize = tok[13].parse().ok()?;
+            let ranking_len: usize = tok[14].parse().ok()?;
             if summary_len + ranking_len != body.len() {
                 return None;
             }
@@ -632,27 +423,27 @@ fn parse_prog(tok: &[&str], body: &[u8]) -> Option<JournalEntry> {
                 report: ProgramReport {
                     summary,
                     ranking,
-                    insts: tok[6].parse().ok()?,
-                    pipelines: tok[7].parse().ok()?,
-                    fusions: tok[8].parse().ok()?,
-                    reductions: tok[9].parse().ok()?,
-                    geodecomp: tok[10].parse().ok()?,
-                    task_regions: tok[11].parse().ok()?,
-                    static_doall: tok[12].parse().ok()?,
-                    input_sensitive: parse_csv(tok[13])?,
-                    consistency_errors: parse_csv(tok[14])?,
+                    insts: tok[4].parse().ok()?,
+                    pipelines: tok[5].parse().ok()?,
+                    fusions: tok[6].parse().ok()?,
+                    reductions: tok[7].parse().ok()?,
+                    geodecomp: tok[8].parse().ok()?,
+                    task_regions: tok[9].parse().ok()?,
+                    static_doall: tok[10].parse().ok()?,
+                    input_sensitive: parse_csv(tok[11])?,
+                    consistency_errors: parse_csv(tok[12])?,
                 },
                 fully_cached,
             }
         }
         "degraded" => {
-            if tok.len() != 13 {
+            if tok.len() != 11 {
                 return None;
             }
-            let stage = Stage::from_name(tok[5])?;
-            let kind = ErrorKind::from_name(tok[6])?;
-            let detail_len: usize = tok[11].parse().ok()?;
-            let summary_len: usize = tok[12].parse().ok()?;
+            let stage = Stage::from_name(tok[3])?;
+            let kind = ErrorKind::from_name(tok[4])?;
+            let detail_len: usize = tok[9].parse().ok()?;
+            let summary_len: usize = tok[10].parse().ok()?;
             if detail_len + summary_len != body.len() {
                 return None;
             }
@@ -660,19 +451,19 @@ fn parse_prog(tok: &[&str], body: &[u8]) -> Option<JournalEntry> {
             StoredOutcome::Degraded(DegradedReport {
                 reason: EngineError::new(stage, kind, detail),
                 summary,
-                loops: tok[7].parse().ok()?,
-                cus: tok[8].parse().ok()?,
-                regions: tok[9].parse().ok()?,
-                doall_candidates: parse_csv(tok[10])?,
+                loops: tok[5].parse().ok()?,
+                cus: tok[6].parse().ok()?,
+                regions: tok[7].parse().ok()?,
+                doall_candidates: parse_csv(tok[8])?,
             })
         }
         "err" => {
-            if tok.len() != 8 {
+            if tok.len() != 6 {
                 return None;
             }
-            let stage = Stage::from_name(tok[5])?;
-            let kind = ErrorKind::from_name(tok[6])?;
-            let detail_len: usize = tok[7].parse().ok()?;
+            let stage = Stage::from_name(tok[3])?;
+            let kind = ErrorKind::from_name(tok[4])?;
+            let detail_len: usize = tok[5].parse().ok()?;
             if detail_len != body.len() {
                 return None;
             }
@@ -681,7 +472,7 @@ fn parse_prog(tok: &[&str], body: &[u8]) -> Option<JournalEntry> {
         }
         _ => return None,
     };
-    Some(JournalEntry { index, worker, fence, outcome })
+    Some(JournalEntry { index, outcome })
 }
 
 #[cfg(test)]
@@ -706,11 +497,9 @@ mod tests {
         }
     }
 
-    fn entry(index: usize, worker: u64, fence: u64) -> JournalEntry {
+    fn entry(index: usize) -> JournalEntry {
         JournalEntry {
             index,
-            worker,
-            fence,
             outcome: StoredOutcome::Ok { report: sample_report(), fully_cached: false },
         }
     }
@@ -719,14 +508,10 @@ mod tests {
         vec![
             JournalEntry {
                 index: 0,
-                worker: 0,
-                fence: 0,
                 outcome: StoredOutcome::Ok { report: sample_report(), fully_cached: true },
             },
             JournalEntry {
                 index: 2,
-                worker: 3,
-                fence: 7,
                 outcome: StoredOutcome::Degraded(DegradedReport {
                     reason: EngineError::new(Stage::Profile, ErrorKind::Panic, "boom \"x\""),
                     summary: "static only\n".to_owned(),
@@ -738,8 +523,6 @@ mod tests {
             },
             JournalEntry {
                 index: 5,
-                worker: 0,
-                fence: 0,
                 outcome: StoredOutcome::Err(EngineError::new(
                     Stage::Parse,
                     ErrorKind::Lang,
@@ -749,19 +532,9 @@ mod tests {
         ]
     }
 
-    fn sample_records() -> Vec<Record> {
-        let mut out = vec![
-            Record::Claim { index: 2, worker: 3, fence: 7, lease_ms: 500 },
-            Record::Beat { index: 2, worker: 3, fence: 7 },
-        ];
-        out.extend(sample_entries().into_iter().map(Record::Prog));
-        out.push(Record::Release { index: 9, worker: 1, fence: 8 });
-        out
-    }
-
     #[test]
     fn records_round_trip_byte_identically() {
-        for rec in sample_records() {
+        for rec in sample_entries() {
             let bytes = render_record(&rec);
             let Step::Rec(parsed, end) = next_record(&bytes, 0) else {
                 panic!("rendered record must parse");
@@ -774,10 +547,10 @@ mod tests {
     #[test]
     fn bit_rot_inside_a_complete_record_stops_the_scan() {
         let mut bytes = header_bytes(5).into_bytes();
-        bytes.extend_from_slice(&render_record(&Record::Prog(entry(0, 0, 0))));
+        bytes.extend_from_slice(&render_record(&entry(0)));
         let rot_at = bytes.len() - 3; // deep inside the record body
         bytes[rot_at] ^= 0x40;
-        bytes.extend_from_slice(&render_record(&Record::Prog(entry(1, 0, 0))));
+        bytes.extend_from_slice(&render_record(&entry(1)));
         let parsed = scan(&bytes).unwrap();
         assert!(parsed.records.is_empty(), "a checksum-failing record must not replay");
         assert_eq!(parsed.tail, Some(TailIssue::Checksum));
@@ -789,17 +562,17 @@ mod tests {
         let vfs = Arc::new(SimFs::new());
         let dir = PathBuf::from("/run");
         let journal = Journal::start_via(vfs.clone(), &dir, 0xabc).unwrap();
-        journal.append(&entry(0, 0, 0)).unwrap();
+        journal.append(&entry(0)).unwrap();
         vfs.set_fault(Some(DiskFault::Eio { at: vfs.ops() + 1 }));
-        assert!(journal.append(&entry(1, 0, 0)).is_err());
+        assert!(journal.append(&entry(1)).is_err());
         assert!(journal.is_poisoned());
         // The fault was transient, but the handle stays closed: the file
         // may hold a partial record past the last good boundary.
-        let err = journal.append(&entry(2, 0, 0)).unwrap_err();
+        let err = journal.append(&entry(2)).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         // Resume still works and replays the durable prefix.
         let (_journal, replayed) = Journal::resume_via(vfs, &dir, 0xabc).unwrap();
-        assert_eq!(replayed.entries, vec![entry(0, 0, 0)]);
+        assert_eq!(replayed, vec![entry(0)]);
     }
 
     #[test]
@@ -812,12 +585,7 @@ mod tests {
         }
         drop(journal);
         let (_journal, replayed) = Journal::resume(&dir, 0xfeed).unwrap();
-        // Entry 2 carries fence 7 with no claim record: fenced replay must
-        // discard it; the unfenced entries 0 and 5 survive.
-        let keep: Vec<JournalEntry> =
-            sample_entries().into_iter().filter(|e| e.fence == 0).collect();
-        assert_eq!(replayed.entries, keep);
-        assert_eq!(replayed.fenced_stale, 1);
+        assert_eq!(replayed, sample_entries());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -826,7 +594,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("parpat-journal-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = Journal::start(&dir, 7).unwrap();
-        let entries: Vec<JournalEntry> = vec![entry(0, 0, 0), entry(1, 0, 0), entry(2, 0, 0)];
+        let entries: Vec<JournalEntry> = vec![entry(0), entry(1), entry(2)];
         for e in &entries {
             journal.append(e).unwrap();
         }
@@ -839,13 +607,12 @@ mod tests {
         std::fs::write(&path, &bytes[..keep]).unwrap();
 
         let (journal, replayed) = Journal::resume(&dir, 7).unwrap();
-        assert_eq!(replayed.entries, entries[..2].to_vec());
+        assert_eq!(replayed, entries[..2].to_vec());
         // The torn tail is gone: a fresh append lands on a clean boundary.
         journal.append(&entries[2]).unwrap();
         drop(journal);
-        let all = scan(&std::fs::read(&path).unwrap()).unwrap().into_records();
-        let progs: Vec<JournalEntry> = replay(&all).entries;
-        assert_eq!(progs, entries);
+        let all = scan(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(replay(all.records.iter().map(|(e, _)| e)), entries);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -861,7 +628,7 @@ mod tests {
         bytes.extend_from_slice(b"rec 999\nprog 0");
         std::fs::write(&path, &bytes).unwrap();
         let (_journal, replayed) = Journal::resume(&dir, 0xabc).unwrap();
-        assert!(replayed.entries.is_empty());
+        assert!(replayed.is_empty());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -888,7 +655,7 @@ mod tests {
         journal.append(&sample_entries()[0]).unwrap();
         drop(journal);
         let (_journal, replayed) = Journal::resume(&dir, 2).unwrap();
-        assert!(replayed.entries.is_empty(), "a different run must not replay stale records");
+        assert!(replayed.is_empty(), "a different run must not replay stale records");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -898,7 +665,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(journal_path(&dir), b"\x00\xff not a journal at all").unwrap();
         let (journal, replayed) = Journal::resume(&dir, 3).unwrap();
-        assert!(replayed.entries.is_empty());
+        assert!(replayed.is_empty());
         journal.append(&sample_entries()[0]).unwrap();
         drop(journal);
         let parsed = scan(&std::fs::read(journal_path(&dir)).unwrap()).unwrap();
@@ -919,7 +686,7 @@ mod tests {
 
     #[test]
     fn checksums_are_mandatory_and_old_headers_unreadable() {
-        let rec = render_record(&Record::Prog(entry(0, 0, 0)));
+        let rec = render_record(&entry(0));
         let nl = rec.iter().position(|&b| b == b'\n').unwrap();
         // The frame line without its checksum field.
         let frame = std::str::from_utf8(&rec[..nl]).unwrap().rsplit_once(' ').unwrap().0;
@@ -931,83 +698,40 @@ mod tests {
     }
 
     #[test]
-    fn fenced_prog_needs_its_active_claim() {
-        // claim(f=1) -> release -> claim(f=2) -> zombie prog(f=1) is
-        // stale; prog(f=2) is accepted.
-        let records = vec![
-            Record::Claim { index: 0, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Release { index: 0, worker: 1, fence: 1 },
-            Record::Claim { index: 0, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Prog(entry(0, 1, 1)),
-            Record::Prog(entry(0, 2, 2)),
-        ];
-        let r = replay(&records);
-        assert_eq!(r.fenced_stale, 1);
-        assert_eq!(r.entries, vec![entry(0, 2, 2)]);
-        assert_eq!(r.max_fence, 2);
-        assert!(r.open_claims.is_empty());
+    fn v3_headers_take_the_unreadable_header_path() {
+        use crate::vfs::SimFs;
+        // A v3 journal: the old header and a correctly framed `prog`
+        // record in the v3 layout (two more fields after the index).
+        let payload = b"prog 0 0 0 err parse lang 1\nx";
+        let mut v3 = format!("parpat-journal-v3 {:016x}\n", 4).into_bytes();
+        v3.extend_from_slice(
+            format!("rec {} {:016x}\n", payload.len(), hash_bytes(payload)).as_bytes(),
+        );
+        v3.extend_from_slice(payload);
+        assert!(scan(&v3).is_none(), "a v3 header is unreadable");
+
+        let vfs = Arc::new(SimFs::new());
+        let dir = PathBuf::from("/run");
+        vfs.create_sync(&journal_path(&dir), &v3).unwrap();
+        let report = crate::fsck::fsck(vfs.as_ref(), &dir, false).unwrap();
+        let codes: Vec<&str> = report.findings.iter().map(|f| f.code).collect();
+        assert_eq!(codes, vec!["F001"]);
+
+        // Resume starts a fresh v4 journal with nothing replayed.
+        let (journal, replayed) = Journal::resume_via(vfs.clone(), &dir, 4).unwrap();
+        assert!(replayed.is_empty());
+        journal.append(&entry(0)).unwrap();
+        let parsed = scan(&vfs.durable(&journal_path(&dir)).unwrap()).unwrap();
+        assert_eq!(parsed.run, 4);
+        assert_eq!(parsed.records.len(), 1);
     }
 
     #[test]
-    fn zombie_result_arriving_before_release_wins_and_later_result_is_stale() {
-        // The worker wrote its prog just before the coordinator killed it:
-        // the result is real work and is kept; the requeued worker's
-        // duplicate is the stale one. Either order yields one accepted
-        // entry per index.
-        let records = vec![
-            Record::Claim { index: 0, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Prog(entry(0, 1, 1)),
-            Record::Release { index: 0, worker: 1, fence: 1 },
-            Record::Claim { index: 0, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Prog(entry(0, 2, 2)),
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, vec![entry(0, 1, 1)]);
-        assert_eq!(r.fenced_stale, 1);
-    }
-
-    #[test]
-    fn duplicate_claims_resolve_to_the_lowest_fence() {
-        // A broken append lock let two workers claim index 4; every
-        // replayer must crown the same owner: lowest (fence, worker).
-        let records = vec![
-            Record::Claim { index: 4, worker: 9, fence: 3, lease_ms: 100 },
-            Record::Claim { index: 4, worker: 2, fence: 5, lease_ms: 100 },
-            Record::Prog(entry(4, 2, 5)),
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, Vec::<JournalEntry>::new());
-        assert_eq!(r.fenced_stale, 1, "the higher-fence claimant's result is fenced out");
-        assert_eq!(r.open_claims, vec![OpenClaim { index: 4, worker: 9, fence: 3 }]);
-        let winner = replay(&[
-            Record::Claim { index: 4, worker: 9, fence: 3, lease_ms: 100 },
-            Record::Claim { index: 4, worker: 2, fence: 5, lease_ms: 100 },
-            Record::Prog(entry(4, 9, 3)),
-        ]);
-        assert_eq!(winner.entries, vec![entry(4, 9, 3)]);
-    }
-
-    #[test]
-    fn stale_release_cannot_evict_a_newer_lease() {
-        let records = vec![
-            Record::Claim { index: 1, worker: 1, fence: 1, lease_ms: 100 },
-            Record::Release { index: 1, worker: 1, fence: 1 },
-            Record::Claim { index: 1, worker: 2, fence: 2, lease_ms: 100 },
-            Record::Release { index: 1, worker: 1, fence: 1 },
-        ];
-        let r = replay(&records);
-        assert_eq!(r.open_claims, vec![OpenClaim { index: 1, worker: 2, fence: 2 }]);
-    }
-
-    #[test]
-    fn claim_after_completion_is_ignored() {
-        let records = vec![
-            Record::Prog(entry(3, 0, 0)),
-            Record::Claim { index: 3, worker: 5, fence: 9, lease_ms: 100 },
-        ];
-        let r = replay(&records);
-        assert_eq!(r.entries, vec![entry(3, 0, 0)]);
-        assert!(r.open_claims.is_empty(), "completed work cannot be re-leased");
-        assert_eq!(r.max_fence, 9);
+    fn replay_keeps_the_first_record_of_each_index() {
+        let mut later = entry(1);
+        later.outcome =
+            StoredOutcome::Err(EngineError::new(Stage::Parse, ErrorKind::Lang, "later"));
+        let replayed = replay(&[entry(3), entry(1), later]);
+        assert_eq!(replayed, vec![entry(1), entry(3)], "first wins, ordered by index");
     }
 }

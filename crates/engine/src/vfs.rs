@@ -1,13 +1,13 @@
 //! The storage abstraction under the durability layer.
 //!
 //! Every file operation that a durability claim rests on — journal
-//! appends, ledger lock handling, cache record I/O, stats persistence —
+//! appends, cache record I/O, stats persistence —
 //! goes through the [`Vfs`] trait instead of raw `std::fs`, so the same
 //! code paths run against two backends:
 //!
 //! - [`RealFs`] — a thin passthrough to `std::fs` with the exact
 //!   open-flag and fsync discipline the layer always used (`O_APPEND` +
-//!   `sync_data` per record, `O_EXCL` lock creation, temp-file + rename).
+//!   `sync_data` per record, temp-file + rename).
 //! - [`SimFs`] — an in-memory filesystem with deterministic, seeded fault
 //!   plans: EIO at the k-th mutating operation, a disk that fills
 //!   (ENOSPC) at the k-th operation and stays full, and a power cut that
@@ -60,7 +60,8 @@ fn power_out() -> std::io::Error {
 pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// Read a file's full contents.
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>>;
-    /// Read at most `max` bytes from the start of a file.
+    /// Read at most `max` bytes from the start of a file. The engine
+    /// itself does not call it.
     fn read_prefix(&self, path: &Path, max: usize) -> std::io::Result<Vec<u8>>;
     /// Create or replace a file with `bytes`, *without* any durability
     /// guarantee (stats snapshots, temp files).
@@ -76,7 +77,8 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// Remove a file.
     fn remove_file(&self, path: &Path) -> std::io::Result<()>;
     /// Create a file with `bytes` only if it does not exist (`O_EXCL`);
-    /// fails with `AlreadyExists` otherwise. The advisory-lock primitive.
+    /// fails with `AlreadyExists` otherwise. The engine itself does not
+    /// call it.
     fn create_new(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
     /// Create a directory and all its parents.
     fn create_dir_all(&self, path: &Path) -> std::io::Result<()>;
@@ -335,8 +337,8 @@ impl SimFs {
         }
     }
 
-    /// Test hook: age `path`'s mtime backwards by `age` (for stale-lock
-    /// scenarios that must not sleep).
+    /// Test hook: age `path`'s mtime backwards by `age` (for age-ordered
+    /// scenarios, such as quarantine eviction, that must not sleep).
     pub fn backdate(&self, path: &Path, age: Duration) {
         if let Some(f) = lock_recover(&self.inner).files.get_mut(path) {
             if let Some(t) = f.mtime.checked_sub(age) {
@@ -584,12 +586,12 @@ mod tests {
     #[test]
     fn create_new_is_exclusive() {
         let fs = SimFs::new();
-        fs.create_new(&p("/lock"), b"1\n").unwrap();
-        let err = fs.create_new(&p("/lock"), b"2\n").unwrap_err();
+        fs.create_new(&p("/f"), b"1\n").unwrap();
+        let err = fs.create_new(&p("/f"), b"2\n").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
-        fs.remove_file(&p("/lock")).unwrap();
-        fs.create_new(&p("/lock"), b"3\n").unwrap();
-        assert_eq!(fs.read(&p("/lock")).unwrap(), b"3\n");
+        fs.remove_file(&p("/f")).unwrap();
+        fs.create_new(&p("/f"), b"3\n").unwrap();
+        assert_eq!(fs.read(&p("/f")).unwrap(), b"3\n");
     }
 
     #[test]
@@ -636,22 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn unsynced_lock_files_do_not_survive_a_power_cut() {
+    fn unsynced_exclusive_files_do_not_survive_a_power_cut() {
         let fs = SimFs::new();
-        fs.create_new(&p("/journal.lock"), b"pid 1\n").unwrap();
+        fs.create_new(&p("/excl"), b"pid 1\n").unwrap();
         fs.set_fault(Some(DiskFault::PowerCut { at: fs.ops() + 1, partial: Some(0) }));
         let _ = fs.create_sync(&p("/other"), b"x");
         fs.restart();
-        assert!(fs.read(&p("/journal.lock")).is_err(), "a dead holder's lock is gone");
+        assert!(fs.read(&p("/excl")).is_err(), "a never-synced file is gone");
     }
 
     #[test]
     fn backdate_ages_a_file() {
         let fs = SimFs::new();
-        fs.create_new(&p("/lock"), b"pid\n").unwrap();
-        assert!(fs.file_age(&p("/lock")).unwrap() < Duration::from_secs(1));
-        fs.backdate(&p("/lock"), Duration::from_secs(60));
-        assert!(fs.file_age(&p("/lock")).unwrap() >= Duration::from_secs(60));
+        fs.create_new(&p("/f"), b"pid\n").unwrap();
+        assert!(fs.file_age(&p("/f")).unwrap() < Duration::from_secs(1));
+        fs.backdate(&p("/f"), Duration::from_secs(60));
+        assert!(fs.file_age(&p("/f")).unwrap() >= Duration::from_secs(60));
     }
 
     #[test]

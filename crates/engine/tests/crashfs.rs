@@ -181,8 +181,6 @@ fn sticky_enospc_at_every_fault_point_degrades_and_recovers() {
 fn enospc_at_every_byte_offset_leaves_the_journal_resumable() {
     let entry = |i: usize| JournalEntry {
         index: i,
-        worker: 0,
-        fence: 0,
         outcome: StoredOutcome::Err(parpat_engine::EngineError::new(
             parpat_engine::Stage::Parse,
             parpat_engine::ErrorKind::Lang,
@@ -190,7 +188,7 @@ fn enospc_at_every_byte_offset_leaves_the_journal_resumable() {
         )),
     };
     // Measure the third record's full wire length on a clean journal.
-    let rec_len = journal::render_record(&journal::Record::Prog(entry(2))).len() as u64;
+    let rec_len = journal::render_record(&entry(2)).len() as u64;
     let dir = PathBuf::from("/run");
 
     for cut in 0..=rec_len {
@@ -214,7 +212,7 @@ fn enospc_at_every_byte_offset_leaves_the_journal_resumable() {
         } else {
             vec![entry(0), entry(1)]
         };
-        assert_eq!(replayed.entries, want, "offset {cut}");
+        assert_eq!(replayed, want, "offset {cut}");
         // The truncated journal accepts appends on a clean boundary.
         journal.append(&entry(3)).expect("post-recovery append");
         drop(journal);

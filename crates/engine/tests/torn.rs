@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use parpat_engine::journal::{self, header_bytes, render_record, replay, scan};
 use parpat_engine::{
-    DegradedReport, EngineError, ErrorKind, Journal, JournalEntry, ProgramReport, Record, Stage,
+    DegradedReport, EngineError, ErrorKind, Journal, JournalEntry, ProgramReport, Stage,
     StoredOutcome,
 };
 
@@ -36,22 +36,16 @@ fn report(insts: u64) -> ProgramReport {
     }
 }
 
-/// A journal exercising every record kind, fenced and unfenced entries,
+/// A journal exercising every outcome kind (ok, degraded, err),
 /// multi-line bodies with embedded quotes, and an empty-body record.
-fn sample_records() -> Vec<Record> {
+fn sample_records() -> Vec<JournalEntry> {
     vec![
-        Record::Prog(JournalEntry {
+        JournalEntry {
             index: 0,
-            worker: 0,
-            fence: 0,
             outcome: StoredOutcome::Ok { report: report(100), fully_cached: false },
-        }),
-        Record::Claim { index: 1, worker: 2, fence: 1, lease_ms: 500 },
-        Record::Beat { index: 1, worker: 2, fence: 1 },
-        Record::Prog(JournalEntry {
+        },
+        JournalEntry {
             index: 1,
-            worker: 2,
-            fence: 1,
             outcome: StoredOutcome::Degraded(DegradedReport {
                 reason: EngineError::new(
                     Stage::Profile,
@@ -64,24 +58,27 @@ fn sample_records() -> Vec<Record> {
                 regions: 1,
                 doall_candidates: vec![4, 5],
             }),
-        }),
-        Record::Claim { index: 2, worker: 3, fence: 2, lease_ms: 250 },
-        Record::Release { index: 2, worker: 3, fence: 2 },
-        Record::Claim { index: 2, worker: 2, fence: 3, lease_ms: 250 },
-        Record::Prog(JournalEntry {
+        },
+        JournalEntry {
             index: 2,
-            worker: 2,
-            fence: 3,
             outcome: StoredOutcome::Err(EngineError::new(
                 Stage::Parse,
                 ErrorKind::Lang,
                 "syntax error\nat line 7",
             )),
-        }),
+        },
+        JournalEntry {
+            index: 3,
+            outcome: StoredOutcome::Err(EngineError::new(Stage::Profile, ErrorKind::Stalled, "")),
+        },
+        JournalEntry {
+            index: 4,
+            outcome: StoredOutcome::Ok { report: report(7), fully_cached: true },
+        },
     ]
 }
 
-fn journal_bytes(records: &[Record]) -> Vec<u8> {
+fn journal_bytes(records: &[JournalEntry]) -> Vec<u8> {
     let mut bytes = header_bytes(RUN).into_bytes();
     for rec in records {
         bytes.extend_from_slice(&render_record(rec));
@@ -130,10 +127,7 @@ fn resume_at_every_cut_replays_the_prefix_and_repairs_the_file() {
         std::fs::write(&path, &bytes[..cut]).expect("write truncated journal");
         let (_journal, state) = Journal::resume(&dir, RUN).expect("resume never fails on a cut");
         let kept = ends.iter().filter(|e| **e <= cut).count();
-        let expect = replay(records[..kept].iter());
-        assert_eq!(state.entries, expect.entries, "cut {cut}: prefix entries replayed");
-        assert_eq!(state.open_claims, expect.open_claims, "cut {cut}: prefix claims replayed");
-        assert_eq!(state.max_fence, expect.max_fence, "cut {cut}");
+        assert_eq!(state, records[..kept], "cut {cut}: prefix entries replayed");
 
         // The file was repaired: header plus the complete records, with the
         // torn tail truncated away.
@@ -144,6 +138,6 @@ fn resume_at_every_cut_replays_the_prefix_and_repairs_the_file() {
     // Sanity: the intact journal replays everything.
     std::fs::write(&path, &bytes).expect("write full journal");
     let (_journal, state) = Journal::resume(&dir, RUN).expect("resume");
-    assert_eq!(state.entries, full_replay.entries);
+    assert_eq!(state, full_replay);
     let _ = std::fs::remove_dir_all(&dir);
 }
