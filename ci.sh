@@ -9,7 +9,10 @@ cargo build --release
 # The benchmark package has its own workspace and uses the crates' public
 # API: a breaking change must fail here, not only when the benchmark runs.
 cargo check --offline --manifest-path parbench/Cargo.toml
-cargo test -q
+# Every package's unit and integration tests, including the SSA
+# differential (miscompile gate) and the static oracle's decisive-count
+# floors; a bare `cargo test` would run the root package's tests only.
+cargo test -q --workspace
 # Fault-injection suite: every (stage x fault mode x job count) must leave
 # the batch complete, ordered, and correctly counted — including transient
 # retries and watchdog-requeued stalls.

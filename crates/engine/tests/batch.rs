@@ -63,7 +63,7 @@ fn batch_accumulates_ssa_pass_timings() {
         // fragment runs the whole roster over its function.
         assert!(p.runs >= 17, "{name} ran {} time(s):\n{}", p.runs, cold.stats.render_text());
     }
-    assert!(cold.stats.render_text().contains("ssa passes: const_fold"));
+    assert!(cold.stats.render_text().contains("ssa passes: cse"));
 
     // A warm run re-analyzes nothing, so no pass runs accumulate.
     let dir = temp_dir("ssa-pass");

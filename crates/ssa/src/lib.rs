@@ -16,9 +16,8 @@
 //!    stack-based renaming, promoting every scalar slot to SSA values;
 //! 4. [`pass`] — a [`Pass`] trait and [`PassManager`] that verifies the
 //!    function after every pass and records per-pass wall time;
-//! 5. [`passes`] — the initial roster: constant folding, global value
-//!    numbering (CSE), copy propagation (trivial-phi elimination),
-//!    loop-invariant code motion, and value-range analysis;
+//! 5. [`passes`] — the standard roster: dominator-scoped value numbering
+//!    (CSE), then loop-invariant code motion;
 //! 6. [`verify`] — structural invariants (every use dominated by its def,
 //!    phi arity matching predecessors, coherent edges);
 //! 7. [`exec`] — an SSA executor with the tree interpreter's exact
@@ -45,7 +44,7 @@ pub use cfg::{Block, BlockId, CfgLoop, Inst, Op, SsaFunc, SsaProgram, Term, ValI
 pub use dom::DomTree;
 pub use exec::{run_ssa, SsaCapture, SsaExecError, SsaLimits};
 pub use pass::{Pass, PassManager, PassTiming};
-pub use passes::{standard_pipeline, ValueRanges, PASS_NAMES};
+pub use passes::{standard_pipeline, PASS_NAMES};
 pub use ssa::promote_to_ssa;
 pub use verify::{verify_func, SsaViolation, SsaViolationKind};
 

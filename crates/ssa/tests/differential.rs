@@ -17,7 +17,7 @@
 use parpat_ir::event::NullObserver;
 use parpat_ir::{run_function_captured, ExecLimits, IrProgram};
 use parpat_minilang::{genprog, parse_checked};
-use parpat_ssa::{build_optimized, run_ssa, SsaExecError, SsaLimits};
+use parpat_ssa::{build_optimized, run_ssa, SsaExecError, SsaLimits, PASS_NAMES};
 
 /// f64 agreement: bit-identical, or both NaN.
 fn same(a: f64, b: f64) -> bool {
@@ -30,9 +30,10 @@ fn same(a: f64, b: f64) -> bool {
 fn differential(label: &str, src: &str, ir: &IrProgram) -> bool {
     let (ssa, timings) = build_optimized(ir)
         .unwrap_or_else(|v| panic!("verifier rejected {label}: {v} (kind {:?})\n{src}", v.kind));
-    assert!(
-        timings.len() >= 4,
-        "{label}: the pass manager must run at least four passes, got {timings:?}"
+    assert_eq!(
+        timings.len(),
+        PASS_NAMES.len(),
+        "{label}: the pass manager must run the whole roster, got {timings:?}"
     );
     let Some(entry) = ir.entry else {
         return false;
@@ -131,9 +132,9 @@ fn fuzz_corpus_executes_identically_in_tree_and_optimized_ssa() {
 #[test]
 fn faulting_programs_fault_identically_after_optimization() {
     // Hand-picked adversarial cases for the pass roster's safety rules:
-    // folds and hoists must neither erase nor introduce faults.
+    // merges and hoists must neither erase nor introduce faults.
     for src in [
-        // Constant-foldable context around a zero divisor.
+        // Constant arithmetic around a zero divisor.
         "fn main() { return (2 + 3) / (4 - 4); }",
         // Loop-invariant 1/x where x is zero, in a zero-trip loop: must NOT
         // fault (LICM must not speculate it).
@@ -162,7 +163,7 @@ fn faulting_programs_fault_identically_after_optimization() {
 fn optimization_actually_fires_on_the_corpus() {
     // Sanity: the roster is not a no-op pipeline. Over the corpus, at
     // least one pass must report a change for a healthy majority of
-    // programs (constant folding alone fires on nearly anything).
+    // programs.
     let mut changed = 0usize;
     for case in 0..50u64 {
         let src = genprog::generate(0x00D1_FF00 + case);
