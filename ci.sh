@@ -14,8 +14,8 @@ cargo check --offline --manifest-path parbench/Cargo.toml
 # floors; a bare `cargo test` would run the root package's tests only.
 cargo test -q --workspace
 # Fault-injection suite: every (stage x fault mode x job count) must leave
-# the batch complete, ordered, and correctly counted — including transient
-# retries and watchdog-requeued stalls.
+# the batch complete, ordered, and correctly counted — including
+# watchdog-requeued stalls.
 cargo test -q -p parpat-engine --test faults
 # Kill-and-resume: a journal truncated mid-record must restore the
 # completed prefix byte-identically and re-run only the tail.

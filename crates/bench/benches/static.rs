@@ -13,11 +13,13 @@ use std::time::{Duration, Instant};
 use parpat_static::{analyze_function_timed, lint_source, merge_timings, PassTiming, PASS_NAMES};
 use parpat_suite::all_apps;
 
-/// Measured passes (the suite is small; averaging smooths scheduler noise).
-const PASSES: usize = 5;
+/// Timed lint repetitions over the suite (the suite is small; averaging
+/// smooths scheduler noise).
+const LINT_REPEATS: usize = 5;
 
 /// End-to-end lint wall time over the whole suite, averaged across
-/// measured passes, plus the total diagnostic count of one pass.
+/// [`LINT_REPEATS`] timed repetitions, plus the total diagnostic count of
+/// one repetition.
 fn lint_suite() -> (Duration, usize) {
     // Warm-up pass: fault in lazily-initialized app sources.
     let mut diags = 0usize;
@@ -25,14 +27,14 @@ fn lint_suite() -> (Duration, usize) {
         diags += lint_source(app.model).len();
     }
     let mut total = Duration::ZERO;
-    for _ in 0..PASSES {
+    for _ in 0..LINT_REPEATS {
         let start = Instant::now();
         for app in all_apps() {
             std::hint::black_box(lint_source(app.model));
         }
         total += start.elapsed();
     }
-    (total / PASSES as u32, diags)
+    (total / LINT_REPEATS as u32, diags)
 }
 
 /// Per-pass timings of the SSA pipeline over every function of every
@@ -89,7 +91,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\"programs\": {programs}, \"passes\": {PASSES}, \
+        "{{\"programs\": {programs}, \"lint_repeats\": {LINT_REPEATS}, \
          \"lint\": {{\"wall_ms\": {:.3}, \"programs_per_sec\": {:.2}, \"diagnostics\": {diags}}}, \
          \"ssa_passes\": [{}]}}\n",
         lint_wall.as_secs_f64() * 1e3,

@@ -5,9 +5,8 @@
 //! one process skip recomputation entirely.
 //!
 //! **Disk tier** (optional, under a cache directory) — one small record
-//! file per key holding the stage's *output digest*, the profiled
-//! instruction count (profile stage), and for the terminal rank stage the
-//! full [`ProgramReport`] payload. Records chain digests across stages, so
+//! file per key holding the stage's *output digest* and, for the terminal
+//! rank stage, the full [`ProgramReport`] payload. Records chain digests across stages, so
 //! a fresh process can prove an entire pipeline unchanged — and emit the
 //! persisted report — without materializing a single intermediate
 //! artifact. Only when a mid-chain stage misses (changed source or config)
@@ -104,8 +103,6 @@ impl Artifact {
 pub struct DiskRecord {
     /// The stage's output digest (chains into downstream keys).
     pub digest: u64,
-    /// Dynamic instruction count (profile stage only).
-    pub insts: Option<u64>,
     /// Terminal report payload (rank stage only).
     pub report: Option<ProgramReport>,
 }
@@ -203,14 +200,14 @@ impl Cache {
     }
 
     /// Store a freshly computed stage output in both tiers.
-    pub fn insert(&self, key: Key, digest: u64, artifact: Artifact, insts: Option<u64>) {
+    pub fn insert(&self, key: Key, digest: u64, artifact: Artifact) {
         let report = match &artifact {
             Artifact::Report(r) => Some(r.as_ref().clone()),
             _ => None,
         };
         self.insert_memory(key, digest, artifact);
         if self.dir.is_some() {
-            self.write_record(key, &DiskRecord { digest, insts, report });
+            self.write_record(key, &DiskRecord { digest, report });
         }
     }
 
@@ -387,9 +384,6 @@ fn render_record(rec: &DiskRecord) -> Vec<u8> {
 fn render_body(rec: &DiskRecord) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(format!("digest {:016x}\n", rec.digest).as_bytes());
-    if let Some(insts) = rec.insts {
-        out.extend_from_slice(format!("insts {insts}\n").as_bytes());
-    }
     if let Some(r) = &rec.report {
         let mut head = format!(
             "report {} {} {} {} {} {} {} {} {} {} {}",
@@ -451,11 +445,12 @@ fn parse_body(bytes: &[u8]) -> Option<DiskRecord> {
     };
     let digest_line = std::str::from_utf8(line()?).ok()?;
     let digest = u64::from_str_radix(digest_line.strip_prefix("digest ")?, 16).ok()?;
-    let mut rec = DiskRecord { digest, insts: None, report: None };
+    let mut rec = DiskRecord { digest, report: None };
     while let Some(l) = line() {
         let l = std::str::from_utf8(l).ok()?;
-        if let Some(v) = l.strip_prefix("insts ") {
-            rec.insts = Some(v.parse().ok()?);
+        if l.starts_with("insts ") {
+            // Older profile records carry an instruction count nothing
+            // reads; skip it so they still serve as hits.
         } else if let Some(v) = l.strip_prefix("report ") {
             let nums: Vec<u64> = v.split(' ').map(str::parse).collect::<Result<_, _>>().ok()?;
             if nums.len() < 11 {
@@ -530,19 +525,30 @@ mod tests {
 
     #[test]
     fn record_roundtrip_with_report() {
-        let rec = DiskRecord { digest: 0xDEADBEEF, insts: Some(77), report: Some(report()) };
+        let rec = DiskRecord { digest: 0xDEADBEEF, report: Some(report()) };
         let parsed = parse_record(&render_record(&rec)).expect("parses");
         assert_eq!(parsed.digest, 0xDEADBEEF);
-        assert_eq!(parsed.insts, Some(77));
         assert_eq!(parsed.report, Some(report()));
     }
 
     #[test]
     fn record_roundtrip_digest_only() {
-        let rec = DiskRecord { digest: 42, insts: None, report: None };
+        let rec = DiskRecord { digest: 42, report: None };
         let parsed = parse_record(&render_record(&rec)).expect("parses");
         assert_eq!(parsed.digest, 42);
-        assert!(parsed.insts.is_none() && parsed.report.is_none());
+        assert!(parsed.report.is_none());
+    }
+
+    #[test]
+    fn profile_records_with_an_insts_line_still_parse() {
+        // The profile-stage record format of earlier releases: digest,
+        // then the run's instruction count, under a matching checksum.
+        let body = b"digest 00000000deadbeef\ninsts 77\n";
+        let mut bytes = format!("parpat-rec-v2\nsum {:016x}\n", hash_bytes(body)).into_bytes();
+        bytes.extend_from_slice(body);
+        let parsed = check_record(&bytes).expect("an old profile record is a valid record");
+        assert_eq!(parsed.digest, 0xDEAD_BEEF);
+        assert!(parsed.report.is_none());
     }
 
     #[test]
@@ -566,11 +572,7 @@ mod tests {
 
     #[test]
     fn parse_record_never_panics_on_mutated_or_truncated_bytes() {
-        let valid = render_record(&DiskRecord {
-            digest: 0xABCD_EF01,
-            insts: Some(77),
-            report: Some(report()),
-        });
+        let valid = render_record(&DiskRecord { digest: 0xABCD_EF01, report: Some(report()) });
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..2000 {
             // Flip 1–4 bytes of a valid record at xorshift-chosen offsets.
@@ -612,7 +614,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("parpat-quarantine-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::new(4, Some(dir.clone())).unwrap();
-        cache.insert(9, 90, Artifact::Report(Arc::new(report())), None);
+        cache.insert(9, 90, Artifact::Report(Arc::new(report())));
         let rec_path = dir.join(format!("{:016x}.rec", 9));
         std::fs::write(&rec_path, b"parpat-rec-v1\ndigest zzz\n").unwrap();
 
@@ -624,7 +626,7 @@ mod tests {
         assert!(rec_path.with_extension("corrupt").exists());
 
         // The slot regenerates and serves again.
-        cache.insert(9, 90, Artifact::Report(Arc::new(report())), None);
+        cache.insert(9, 90, Artifact::Report(Arc::new(report())));
         let cache = Cache::new(4, Some(dir.clone())).unwrap();
         assert!(matches!(cache.lookup(9), Lookup::Disk(_)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -648,11 +650,11 @@ mod tests {
                 consistency_errors: vec![],
             }))
         };
-        cache.insert(1, 10, art(1), None);
-        cache.insert(2, 20, art(2), None);
+        cache.insert(1, 10, art(1));
+        cache.insert(2, 20, art(2));
         // Touch 1 so 2 becomes LRU.
         assert!(matches!(cache.lookup(1), Lookup::Memory(..)));
-        cache.insert(3, 30, art(3), None);
+        cache.insert(3, 30, art(3));
         assert_eq!(cache.evictions(), 1);
         assert!(matches!(cache.lookup(2), Lookup::Miss));
         assert!(matches!(cache.lookup(1), Lookup::Memory(..)));
@@ -662,8 +664,7 @@ mod tests {
 
     #[test]
     fn bit_rot_in_a_record_body_reads_as_checksum_corruption() {
-        let valid =
-            render_record(&DiskRecord { digest: 0xABCD, insts: Some(7), report: Some(report()) });
+        let valid = render_record(&DiskRecord { digest: 0xABCD, report: Some(report()) });
         let mut rotted = valid.clone();
         let at = rotted.len() - 4; // inside the ranking payload
         rotted[at] ^= 0x20;
@@ -709,12 +710,12 @@ mod tests {
         let vfs = Arc::new(SimFs::new());
         let dir = PathBuf::from("/cache");
         let cache = Cache::new_via(vfs.clone(), 4, Some(dir.clone())).unwrap();
-        cache.insert(1, 10, Artifact::Report(Arc::new(report())), None);
+        cache.insert(1, 10, Artifact::Report(Arc::new(report())));
         assert_eq!(cache.disk_writes(), 1);
         vfs.set_fault(Some(DiskFault::Enospc { at: vfs.ops() + 1, partial: Some(0) }));
-        cache.insert(2, 20, Artifact::Report(Arc::new(report())), None);
+        cache.insert(2, 20, Artifact::Report(Arc::new(report())));
         assert!(cache.disk_write_disabled(), "ENOSPC write failure disables the tier");
-        cache.insert(3, 30, Artifact::Report(Arc::new(report())), None);
+        cache.insert(3, 30, Artifact::Report(Arc::new(report())));
         assert_eq!(cache.disk_writes(), 1, "no further disk writes attempted");
         assert_eq!(cache.disabled_writes(), 2);
         // The memory tier still serves all three; the disk tier still
@@ -733,7 +734,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = Cache::new(4, Some(dir.clone())).unwrap();
-            cache.insert(7, 70, Artifact::Report(Arc::new(report())), Some(9));
+            cache.insert(7, 70, Artifact::Report(Arc::new(report())));
             assert_eq!(cache.disk_writes(), 1);
         }
         // Fresh cache, same dir: memory is cold, disk must answer.
@@ -741,7 +742,6 @@ mod tests {
         match cache.lookup(7) {
             Lookup::Disk(rec) => {
                 assert_eq!(rec.digest, 70);
-                assert_eq!(rec.insts, Some(9));
                 assert_eq!(rec.report, Some(report()));
             }
             other => panic!("expected disk hit, got {other:?}"),

@@ -29,9 +29,9 @@
 //! still yields a [`DegradedReport`] built from its static artifacts.
 //! See DESIGN.md, "Robustness".
 //!
-//! # Supervision, retry, and resume
+//! # Supervision and resume
 //!
-//! Three further layers make a batch survive its environment (see
+//! Two further layers make a batch survive its environment (see
 //! DESIGN.md, "Supervision & resume"):
 //!
 //! - **Watchdog**: each job attempt carries an [`ExecControl`] whose beat
@@ -39,8 +39,6 @@
 //!   interpreted instructions. A supervisor thread cancels (cooperatively)
 //!   any job whose beats go stale; the scheduler requeues the job once
 //!   (`stall_requeued`) before reporting it as [`ErrorKind::Stalled`].
-//! - **Retry**: transient failures ([`ErrorKind::is_transient`]) are
-//!   retried up to `retries` times with deterministic exponential backoff.
 //! - **Journal**: with a cache directory configured, each finished program
 //!   appends one fsynced record to `journal.wal`; `resume` replays the
 //!   journal and skips completed programs byte-identically (`resumed`).
@@ -81,22 +79,12 @@ use crate::xval::cross_validate;
 pub struct EngineConfig {
     /// Detector configuration (part of downstream cache keys).
     pub analysis: AnalysisConfig,
-    /// Reference worker count for pattern ranking (part of the rank key).
-    pub rank_workers: f64,
-    /// In-memory artifact capacity before LRU eviction.
-    pub cache_capacity: usize,
     /// Directory for persistent records and stats; `None` disables the
     /// disk tier.
     pub cache_dir: Option<PathBuf>,
     /// Armed fault injections (empty in production; the fault harness
     /// plants one per scenario).
     pub faults: Vec<FaultPlan>,
-    /// Retries granted per program for transient failures
-    /// ([`ErrorKind::is_transient`]); `0` disables retrying.
-    pub retries: u32,
-    /// First backoff delay, in milliseconds; attempt `k` waits
-    /// `backoff_base_ms << (k - 1)` (deterministic exponential backoff).
-    pub backoff_base_ms: u64,
     /// Watchdog supervision for batch jobs; `None` disables it.
     pub watchdog: Option<WatchdogConfig>,
     /// Replay `journal.wal` before running: programs with a complete
@@ -120,12 +108,8 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             analysis: AnalysisConfig::default(),
-            rank_workers: RankConfig::default().workers,
-            cache_capacity: 512,
             cache_dir: None,
             faults: Vec::new(),
-            retries: 0,
-            backoff_base_ms: 25,
             watchdog: None,
             resume: false,
             sanitize: false,
@@ -133,6 +117,9 @@ impl Default for EngineConfig {
         }
     }
 }
+
+/// In-memory artifact capacity before LRU eviction.
+const CACHE_CAPACITY: usize = 512;
 
 /// Detail prefix that distinguishes a trace-sanitizer rejection from an
 /// oracle-detected miscompile — both carry [`ErrorKind::Miscompile`], and
@@ -239,7 +226,6 @@ struct BatchCounters {
     degraded: AtomicU64,
     panics: AtomicU64,
     budget_exceeded: AtomicU64,
-    retries: AtomicU64,
     stall_requeued: AtomicU64,
     resumed: AtomicU64,
     /// Journal appends that failed (disk fault); the journal poisons
@@ -269,8 +255,8 @@ struct BatchCounters {
 
 impl BatchCounters {
     /// Fold one program's *final* outcome into the batch counters. Called
-    /// exactly once per program — intermediate attempts that get retried
-    /// or requeued contribute stage counters (work actually performed) but
+    /// exactly once per program — an intermediate attempt that gets
+    /// requeued contributes stage counters (work actually performed) but
     /// not outcome classifications. Restored journal entries go through
     /// the same accounting, so a resumed batch reports the same headline
     /// numbers as an uninterrupted one.
@@ -346,8 +332,8 @@ impl Session {
     }
 
     /// Record a request that arrived marked as a client-side retry
-    /// (the client's backoff loop re-sent it after an `overloaded` or
-    /// transient failure). Shows up as `retries_client` in the session
+    /// (the client's backoff loop re-sent it after an `overloaded` answer
+    /// or a socket error). Shows up as `retries_client` in the session
     /// stats.
     pub fn note_client_retry(&self) {
         self.counters.retries_client.fetch_add(1, Ordering::Relaxed);
@@ -368,30 +354,21 @@ impl Supervised for JobWatch {
     }
 }
 
-/// A custom sleep function (test hook for deterministic backoff clocks).
-type Sleeper = Box<dyn Fn(Duration) + Send + Sync>;
-
 /// The cached, parallel batch-analysis engine.
 pub struct Engine {
     cfg: AnalysisConfig,
-    rank_workers: f64,
     cache: Cache,
     /// Storage backend shared by the journal, the cache's disk tier, and
     /// stats persistence. [`RealFs`] in production, [`crate::SimFs`] under
     /// the crash-consistency harness.
     vfs: Arc<dyn Vfs>,
     faults: Vec<FaultPlan>,
-    /// Times each (stage, input) fault plan has tripped — drives the
-    /// `Transient` (fail `k` times) and `Stall` (fire once) modes.
-    fault_trips: Mutex<HashMap<(Stage, usize), u32>>,
-    retries: u32,
-    backoff_base_ms: u64,
+    /// (stage, input) stall plans that have already fired — a stall
+    /// fires once, so a requeued job completes.
+    stalls_fired: Mutex<HashSet<(Stage, usize)>>,
     resume: bool,
     sanitize: bool,
     watchdog: Option<Watchdog>,
-    /// Injectable clock for backoff sleeps; `None` means real
-    /// `thread::sleep`.
-    sleeper: Mutex<Option<Sleeper>>,
     /// Reused across batches while the requested thread count matches.
     pool: Mutex<Option<Arc<ThreadPool>>>,
     /// Batches are serialized: `wait_idle` on the shared pool must only
@@ -405,17 +382,13 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> std::io::Result<Engine> {
         Ok(Engine {
             cfg: cfg.analysis,
-            rank_workers: cfg.rank_workers,
-            cache: Cache::new_via(cfg.vfs.clone(), cfg.cache_capacity, cfg.cache_dir)?,
+            cache: Cache::new_via(cfg.vfs.clone(), CACHE_CAPACITY, cfg.cache_dir)?,
             vfs: cfg.vfs,
             faults: cfg.faults,
-            fault_trips: Mutex::new(HashMap::new()),
-            retries: cfg.retries,
-            backoff_base_ms: cfg.backoff_base_ms,
+            stalls_fired: Mutex::new(HashSet::new()),
             resume: cfg.resume,
             sanitize: cfg.sanitize,
             watchdog: cfg.watchdog.map(Watchdog::spawn),
-            sleeper: Mutex::new(None),
             pool: Mutex::new(None),
             batch_lock: Mutex::new(()),
         })
@@ -429,27 +402,6 @@ impl Engine {
     /// The storage backend the engine's durability layer writes through.
     pub fn vfs(&self) -> &Arc<dyn Vfs> {
         &self.vfs
-    }
-
-    /// Replace the backoff clock: `f` is called instead of
-    /// `thread::sleep` for every retry backoff. Lets the fault harness
-    /// record the exact deterministic delays without waiting them out.
-    pub fn set_sleeper(&self, f: impl Fn(Duration) + Send + Sync + 'static) {
-        *lock_recover(&self.sleeper) = Some(Box::new(f));
-    }
-
-    fn sleep_for(&self, d: Duration) {
-        match &*lock_recover(&self.sleeper) {
-            Some(f) => f(d),
-            None => std::thread::sleep(d),
-        }
-    }
-
-    /// Deterministic exponential backoff before retry attempt `attempt`
-    /// (1-based): `backoff_base_ms << (attempt - 1)`, capped to avoid
-    /// shift overflow.
-    fn backoff(&self, attempt: u32) -> Duration {
-        Duration::from_millis(self.backoff_base_ms.saturating_mul(1 << (attempt - 1).min(20)))
     }
 
     /// Analyze one program through the cached stage graph (fault plans see
@@ -481,8 +433,8 @@ impl Engine {
     /// Like [`Engine::analyze_in_session`], but with an absolute deadline:
     /// the attempt's [`ExecControl`] self-cancels once the clock passes
     /// `deadline`, and the resulting cancellation is classified as
-    /// [`ErrorKind::Deadline`] (never requeued or retried — the time
-    /// budget is request-scoped and spent). A dynamic-stage deadline still
+    /// [`ErrorKind::Deadline`] (never requeued — the time budget is
+    /// request-scoped and spent). A dynamic-stage deadline still
     /// yields a degraded report when the static artifacts survived.
     pub fn analyze_in_session_before(
         &self,
@@ -628,7 +580,7 @@ impl Engine {
         h.write_f64(self.cfg.hotspot_threshold);
         h.write_u64(self.cfg.min_pipeline_pairs as u64);
         h.write_f64(self.cfg.fusion_eps);
-        h.write_f64(self.rank_workers);
+        h.write_f64(RankConfig::default().workers);
         h.write_u64(self.sanitize as u64);
         h.finish()
     }
@@ -645,36 +597,25 @@ impl Engine {
         }
     }
 
-    /// The armed fault for `(stage, batch index)`, if any. Trip-counted:
-    /// `Transient(k)` resolves to a cache-corrupt failure for its first
-    /// `k` trips and then disarms; `Stall` fires only on its first trip
-    /// (a transient hang — the requeued job completes); `Fail` and
-    /// `Panic` fire on every trip (deterministic faults).
+    /// The armed fault for `(stage, batch index)`, if any. `Stall` fires
+    /// only on its first trip (a one-off hang — the requeued job
+    /// completes); every other mode fires on every trip (deterministic
+    /// faults).
     fn fault_for(&self, s: Stage, index: usize) -> Option<FaultMode> {
         let mode = self.faults.iter().find(|p| p.stage == s && p.input == index)?.mode;
         match mode {
-            FaultMode::Transient(k) => {
-                let mut trips = lock_recover(&self.fault_trips);
-                let n = trips.entry((s, index)).or_insert(0);
-                *n += 1;
-                (*n <= k).then_some(FaultMode::Fail(ErrorKind::CacheCorrupt))
-            }
             FaultMode::Stall(_) => {
-                let mut trips = lock_recover(&self.fault_trips);
-                let n = trips.entry((s, index)).or_insert(0);
-                *n += 1;
-                (*n == 1).then_some(mode)
+                lock_recover(&self.stalls_fired).insert((s, index)).then_some(mode)
             }
             _ => Some(mode),
         }
     }
 
-    /// Run one program to a *final* outcome: stalled attempts are requeued
-    /// once, transient failures are retried with exponential backoff, and
-    /// only the outcome that sticks is accounted and returned. A deadline,
-    /// when given, is absolute and shared by every attempt — a requeue or
-    /// retry never resets the request's time budget, and a
-    /// [`ErrorKind::Deadline`] failure exits the loop immediately.
+    /// Run one program to a *final* outcome: a stalled attempt is requeued
+    /// once, and only the outcome that sticks is accounted and returned. A
+    /// deadline, when given, is absolute and shared by both attempts — a
+    /// requeue never resets the request's time budget, and a
+    /// [`ErrorKind::Deadline`] failure is final.
     fn run_one(
         &self,
         input: &BatchInput,
@@ -684,23 +625,12 @@ impl Engine {
     ) -> ProgramOutcome {
         let start = Instant::now();
         counters.requests.fetch_add(1, Ordering::Relaxed);
-        let mut requeued = false;
-        let mut attempts = 0u32;
-        let (outcome, fully_cached, funcs_reanalyzed) = loop {
-            let (outcome, fully_cached, funcs) = self.run_attempt(input, index, counters, deadline);
-            match outcome.error().map(|e| e.kind) {
-                Some(ErrorKind::Stalled) if !requeued => {
-                    requeued = true;
-                    counters.stall_requeued.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(kind) if kind.is_transient() && attempts < self.retries => {
-                    attempts += 1;
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                    self.sleep_for(self.backoff(attempts));
-                }
-                _ => break (outcome, fully_cached, funcs),
-            }
-        };
+        let mut attempt = self.run_attempt(input, index, counters, deadline);
+        if attempt.0.error().is_some_and(|e| e.kind == ErrorKind::Stalled) {
+            counters.stall_requeued.fetch_add(1, Ordering::Relaxed);
+            attempt = self.run_attempt(input, index, counters, deadline);
+        }
+        let (outcome, fully_cached, funcs_reanalyzed) = attempt;
         if fully_cached {
             counters.served_cached.fetch_add(1, Ordering::Relaxed);
         }
@@ -776,7 +706,6 @@ impl Engine {
             degraded: counters.degraded.load(Ordering::Relaxed),
             panics: counters.panics.load(Ordering::Relaxed),
             budget_exceeded: counters.budget_exceeded.load(Ordering::Relaxed),
-            retries: counters.retries.load(Ordering::Relaxed),
             stall_requeued: counters.stall_requeued.load(Ordering::Relaxed),
             resumed: counters.resumed.load(Ordering::Relaxed),
             journal_append_failed: counters.journal_append_failed.load(Ordering::Relaxed),
@@ -937,10 +866,9 @@ impl<'e> ProgRun<'e> {
     /// a miss (possibly demoting an earlier digest-level hit). The
     /// function runs inside `catch_unwind`: a panic is confined to this
     /// program and surfaces as a structured [`ErrorKind::Panic`] error.
-    /// Armed fault plans trip here — `Fail` (and `Transient`, which
-    /// resolves to it) short-circuits before the stage function, `Stall`
-    /// sleeps cooperatively (cancellable by the watchdog) before it, and
-    /// `Panic` fires inside the unwind boundary.
+    /// Armed fault plans trip here — `Fail` short-circuits before the
+    /// stage function, `Stall` sleeps cooperatively (cancellable by the
+    /// watchdog) before it, and `Panic` fires inside the unwind boundary.
     fn execute<T>(&mut self, s: Stage, f: impl FnOnce(&mut Self) -> T) -> Result<T, EngineError> {
         // Stage boundary = liveness. A job that keeps reaching new stages
         // (or keeps interpreting — the interpreter beats on its own) is
@@ -1089,11 +1017,7 @@ impl<'e> ProgRun<'e> {
             Stage::Detect => self.run_detect(k)?,
             Stage::Rank => self.run_rank(k)?,
         };
-        let insts = match &artifact {
-            Artifact::Profile(run) => Some(run.insts),
-            _ => None,
-        };
-        self.eng.cache.insert(k, d, artifact.clone(), insts);
+        self.eng.cache.insert(k, d, artifact.clone());
         self.slots[s.index()] = Some((d, Some(artifact)));
         Ok(())
     }
@@ -1160,9 +1084,9 @@ impl<'e> ProgRun<'e> {
 
     fn run_lower(&mut self) -> Result<(u64, Artifact), EngineError> {
         let ast = self.ast()?;
-        // Peek at the plan list directly: `fault_for` trip-counts, and this
-        // probe must not consume trips of a Transient/Stall plan armed at
-        // the lower stage.
+        // Peek at the plan list directly: `fault_for` marks a stall plan
+        // fired, and this probe must not spend a stall armed at the lower
+        // stage.
         let miscompile_armed = self.eng.faults.iter().any(|p| {
             p.stage == Stage::Lower && p.input == self.index && p.mode == FaultMode::Miscompile
         });
@@ -1416,16 +1340,15 @@ impl<'e> ProgRun<'e> {
         h.write(b"rank");
         h.write_u64(det_d);
         h.write_u64(stat_d);
-        h.write_f64(self.eng.rank_workers);
+        h.write_f64(RankConfig::default().workers);
         Ok(h.finish())
     }
 
     fn run_rank(&mut self, k: u64) -> Result<(u64, Artifact), EngineError> {
         let analysis = self.analysis()?;
         let statics = self.statics()?;
-        let workers = self.eng.rank_workers;
         let report = self.execute(Stage::Rank, |_| {
-            let ranked = rank_patterns(&analysis, &RankConfig { workers });
+            let ranked = rank_patterns(&analysis, &RankConfig::default());
             let xv = cross_validate(&statics, &analysis.loop_classes);
             ProgramReport {
                 summary: analysis.summary(),

@@ -2,7 +2,8 @@
 //!
 //! Every per-program failure the engine can observe — a malformed source,
 //! a faulting or over-budget interpreted run, a panicking stage function,
-//! or an unrecoverable cache record — is folded into one [`EngineError`]
+//! a stalled or out-of-time job, or a miscompile caught by the
+//! verification subsystem — is folded into one [`EngineError`]
 //! that records *where* it happened ([`Stage`]) and *what class* of
 //! failure it was ([`ErrorKind`]). The classification drives graceful
 //! degradation: dynamic-stage failures keep their static results (see
@@ -26,15 +27,13 @@ pub enum ErrorKind {
     /// An execution budget was exhausted (instruction ceiling, call-depth
     /// ceiling, or wall-clock deadline).
     Budget,
-    /// A persistent cache record was corrupt beyond recovery.
-    CacheCorrupt,
     /// The watchdog declared the job stale and cancelled it cooperatively;
     /// the batch scheduler requeues the job once before giving up.
     Stalled,
     /// A request-scoped deadline expired and the job was cancelled
     /// cooperatively (same mechanism as [`ErrorKind::Stalled`], but the
-    /// clock — not the heartbeat — pulled the trigger). Never requeued or
-    /// retried: the time budget is spent. Dynamic-stage deadline failures
+    /// clock — not the heartbeat — pulled the trigger). Never requeued:
+    /// the time budget is spent. Dynamic-stage deadline failures
     /// still yield a degraded (static-only) report.
     Deadline,
     /// The verification subsystem rejected the pipeline's own artifacts:
@@ -49,12 +48,11 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// Every kind, for name round-tripping.
-    pub const ALL: [ErrorKind; 8] = [
+    pub const ALL: [ErrorKind; 7] = [
         ErrorKind::Lang,
         ErrorKind::Runtime,
         ErrorKind::Panic,
         ErrorKind::Budget,
-        ErrorKind::CacheCorrupt,
         ErrorKind::Stalled,
         ErrorKind::Deadline,
         ErrorKind::Miscompile,
@@ -67,7 +65,6 @@ impl ErrorKind {
             ErrorKind::Runtime => "runtime",
             ErrorKind::Panic => "panic",
             ErrorKind::Budget => "budget",
-            ErrorKind::CacheCorrupt => "cache-corrupt",
             ErrorKind::Stalled => "stalled",
             ErrorKind::Deadline => "deadline",
             ErrorKind::Miscompile => "miscompile",
@@ -80,23 +77,12 @@ impl ErrorKind {
         ErrorKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 
-    /// `true` for failure classes worth retrying: the fault is in the
-    /// environment (a corrupt cache record that has since been
-    /// quarantined), not in the program, so a fresh attempt can succeed.
-    /// Language, runtime, panic, and budget failures are deterministic
-    /// properties of the input and never retried; stalls go through the
-    /// dedicated requeue path instead.
-    pub fn is_transient(self) -> bool {
-        matches!(self, ErrorKind::CacheCorrupt)
-    }
-
     fn phrase(self) -> &'static str {
         match self {
             ErrorKind::Lang => "language error",
             ErrorKind::Runtime => "runtime error",
             ErrorKind::Panic => "panic",
             ErrorKind::Budget => "budget exceeded",
-            ErrorKind::CacheCorrupt => "cache corruption",
             ErrorKind::Stalled => "stall",
             ErrorKind::Deadline => "deadline exceeded",
             ErrorKind::Miscompile => "miscompile",
@@ -168,12 +154,6 @@ impl EngineError {
         self.kind == ErrorKind::Budget
     }
 
-    /// `true` when the failure class is worth retrying (see
-    /// [`ErrorKind::is_transient`]).
-    pub fn is_transient(&self) -> bool {
-        self.kind.is_transient()
-    }
-
     /// Hand-rolled JSON object (`stage`, `kind`, `detail`).
     pub fn to_json(&self) -> String {
         format!(
@@ -228,19 +208,10 @@ mod tests {
         let c = AnalyzeError::Runtime(RuntimeError::cancelled(9, "cancelled".to_owned()));
         let e = EngineError::from_analyze(Stage::Profile, &c);
         assert_eq!(e.kind, ErrorKind::Stalled);
-        assert!(!e.is_transient(), "stalls use the requeue path, not the retry path");
     }
 
     #[test]
-    fn only_cache_corruption_is_transient() {
-        for k in ErrorKind::ALL {
-            assert_eq!(k.is_transient(), k == ErrorKind::CacheCorrupt, "{k}");
-        }
-    }
-
-    #[test]
-    fn deadline_is_terminal() {
-        assert!(!ErrorKind::Deadline.is_transient(), "a spent time budget is not retryable");
+    fn deadline_names_and_renders() {
         assert_eq!(ErrorKind::from_name("deadline"), Some(ErrorKind::Deadline));
         let e = EngineError::new(Stage::Profile, ErrorKind::Deadline, "out of time");
         assert_eq!(e.to_string(), "deadline exceeded at profile stage: out of time");
@@ -256,10 +227,10 @@ mod tests {
 
     #[test]
     fn json_has_all_fields() {
-        let e = EngineError::new(Stage::Rank, ErrorKind::CacheCorrupt, "bad \"record\"");
+        let e = EngineError::new(Stage::Rank, ErrorKind::Runtime, "bad \"record\"");
         let j = e.to_json();
         assert!(j.contains("\"stage\": \"rank\""));
-        assert!(j.contains("\"kind\": \"cache-corrupt\""));
+        assert!(j.contains("\"kind\": \"runtime\""));
         assert!(j.contains("bad \\\"record\\\""));
     }
 }

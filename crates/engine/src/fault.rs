@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] arms one trap: when the program at a given batch index
 //! reaches a given stage, the stage either fails with a chosen
-//! [`ErrorKind`], panics mid-flight, stalls before completing, or fails
-//! transiently `k` times before succeeding. Plans
-//! ride in on `EngineConfig`, so the whole injection surface is plain
-//! configuration — no test-only hooks compiled into the hot path, and the
-//! same engine binary exercises every failure mode reproducibly.
+//! [`ErrorKind`], panics mid-flight, stalls before completing, or
+//! miscompiles its lowered IR. Plans ride in on `EngineConfig`, so the
+//! whole injection surface is plain configuration — no test-only hooks
+//! compiled into the hot path, and the same engine binary exercises every
+//! failure mode reproducibly.
 //!
 //! The fault-injection test suite (`tests/faults.rs`) drives plans across
 //! every stage × mode × job-count combination; [`crate::xorshift64`] (the
@@ -28,12 +28,8 @@ pub enum FaultMode {
     /// short (and turned into an [`ErrorKind::Stalled`] failure) if the
     /// watchdog cancels the job mid-stall. A stall fires once per plan: a
     /// requeued job finds the trap already sprung and completes normally,
-    /// modelling a transient hang rather than a permanently wedged stage.
+    /// modelling a one-off hang rather than a permanently wedged stage.
     Stall(u64),
-    /// The stage fails with [`ErrorKind::CacheCorrupt`] — the transient
-    /// failure class — for the first `k` trips, then completes normally.
-    /// `Transient(2)` with `retries >= 2` succeeds on the third attempt.
-    Transient(u32),
     /// Armed at [`Stage::Lower`]: the stage completes, then the lowered IR
     /// is corrupted with `parpat_ir::corrupt(SwapAddSub)` — a structurally
     /// valid but semantically wrong program. The IR verifier cannot see

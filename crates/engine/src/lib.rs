@@ -22,8 +22,7 @@
 //!   surface ([`FaultPlan`]) proves all of this in `tests/faults.rs`;
 //! - **supervision & resume** — each batch job publishes heartbeats that a
 //!   watchdog thread scans, cancelling (cooperatively) and requeueing
-//!   stalled jobs; transient failures retry with deterministic exponential
-//!   backoff; and every finished program is journaled to an fsynced
+//!   stalled jobs, and every finished program is journaled to an fsynced
 //!   write-ahead log ([`journal`]) so a killed batch resumes where it
 //!   stopped (`EngineConfig::resume`) instead of starting over;
 //! - **static/dynamic cross-validation** — each loop's static dependence

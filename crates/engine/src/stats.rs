@@ -120,8 +120,6 @@ pub struct EngineStats {
     /// Profiled runs that exhausted an execution budget (instruction
     /// ceiling, call depth, wall-clock deadline, or memory-cell budget).
     pub budget_exceeded: u64,
-    /// Transient failures retried with backoff (each retry counts once).
-    pub retries: u64,
     /// Jobs cancelled by the watchdog for a stale heartbeat and requeued.
     pub stall_requeued: u64,
     /// Programs restored from the batch journal instead of re-analyzed
@@ -208,8 +206,8 @@ impl EngineStats {
             self.panics, self.budget_exceeded, self.cache.recovered
         ));
         out.push_str(&format!(
-            "resilience: {} retries, {} stall-requeued, {} resumed from journal\n",
-            self.retries, self.stall_requeued, self.resumed
+            "resilience: {} stall-requeued, {} resumed from journal\n",
+            self.stall_requeued, self.resumed
         ));
         out.push_str(&format!(
             "storage: {} journal append failure(s), {} quarantine eviction(s), {} cache write(s) disabled\n",
@@ -306,7 +304,7 @@ impl EngineStats {
             ));
         }
         format!(
-            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"retries\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"oracle_wall_ns\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
+            "{{\"programs\": {}, \"requests\": {}, \"served_from_cache\": {}, \"funcs_reanalyzed\": {}, \"errors\": {}, \"degraded\": {}, \"panics\": {}, \"budget_exceeded\": {}, \"stall_requeued\": {}, \"resumed\": {}, \"journal_append_failed\": {}, \"requests_shed\": {}, \"deadline_exceeded\": {}, \"retries_client\": {}, \"static_proven_doall\": {}, \"input_sensitive\": {}, \"consistency_errors\": {}, \"ssa_passes\": [{}], \"verified\": {}, \"sanitizer_rejects\": {}, \"miscompiles\": {}, \"oracle_wall_ns\": {}, \"jobs\": {}, \"wall_ns\": {}, \"stages\": [{}], \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"mem_entries\": {}, \"recovered\": {}, \"quarantine_evicted\": {}, \"disabled_writes\": {}}}}}",
             self.programs,
             self.requests,
             self.served_from_cache,
@@ -315,7 +313,6 @@ impl EngineStats {
             self.degraded,
             self.panics,
             self.budget_exceeded,
-            self.retries,
             self.stall_requeued,
             self.resumed,
             self.journal_append_failed,
@@ -403,7 +400,6 @@ mod tests {
             degraded: 1,
             panics: 1,
             budget_exceeded: 2,
-            retries: 6,
             stall_requeued: 7,
             resumed: 9,
             journal_append_failed: 6,
@@ -444,7 +440,7 @@ mod tests {
         assert!(text.contains("50.0% hit rate"));
         assert!(text.contains("1 degraded"));
         assert!(text.contains("1 panics, 2 budget-exceeded, 3 cache records recovered"));
-        assert!(text.contains("6 retries, 7 stall-requeued, 9 resumed from journal"));
+        assert!(text.contains("7 stall-requeued, 9 resumed from journal"));
         assert!(text.contains(
             "6 journal append failure(s), 7 quarantine eviction(s), 8 cache write(s) disabled"
         ));
@@ -479,7 +475,6 @@ mod tests {
         assert!(json.contains("\"degraded\": 1"));
         assert!(json.contains("\"panics\": 1"));
         assert!(json.contains("\"budget_exceeded\": 2"));
-        assert!(json.contains("\"retries\": 6"));
         assert!(json.contains("\"stall_requeued\": 7"));
         assert!(json.contains("\"resumed\": 9"));
         assert!(json.contains("\"requests_shed\": 11"));
@@ -522,7 +517,6 @@ mod tests {
             degraded: 0,
             panics: 0,
             budget_exceeded: 0,
-            retries: 0,
             stall_requeued: 0,
             resumed: 0,
             journal_append_failed: 0,

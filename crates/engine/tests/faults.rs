@@ -77,9 +77,7 @@ fn every_stage_and_mode_completes_the_batch_under_both_job_counts() {
                 match mode {
                     FaultMode::Fail(kind) => assert_eq!(err.kind, kind),
                     FaultMode::Panic => assert_eq!(err.kind, ErrorKind::Panic),
-                    FaultMode::Stall(_) | FaultMode::Transient(_) | FaultMode::Miscompile => {
-                        unreachable!()
-                    }
+                    FaultMode::Stall(_) | FaultMode::Miscompile => unreachable!(),
                 }
                 // ...degrading to static results exactly when the failure
                 // is confined to the dynamic stages.
@@ -130,19 +128,6 @@ fn stalled_stages_complete_instead_of_failing() {
         // The stall shows up as profile wall time, not as a failure.
         assert!(batch.stats.stage(Stage::Profile).wall >= std::time::Duration::from_millis(30));
     }
-}
-
-#[test]
-fn injected_cache_corrupt_failures_render_the_full_taxonomy() {
-    // The CacheCorrupt kind flows through the same isolation path as the
-    // rest of the taxonomy when injected at a dynamic stage.
-    let inputs = small_inputs();
-    let plan = FaultPlan::at(Stage::Rank, 1, FaultMode::Fail(ErrorKind::CacheCorrupt));
-    let batch = engine_with(vec![plan]).batch(inputs, 4);
-    let err = batch.outcomes[1].outcome.error().expect("victim fails");
-    assert_eq!(err.kind, ErrorKind::CacheCorrupt);
-    assert!(err.to_string().contains("cache corruption at rank stage"));
-    assert!(batch.outcomes[1].outcome.is_degraded(), "rank is dynamic");
 }
 
 /// The acceptance scenario from the issue: a batch mixing one
@@ -273,73 +258,6 @@ fn truncated_disk_records_recover_in_the_batch_path() {
     assert_eq!(batch.stats.errors + batch.stats.degraded, 0);
     assert!(batch.stats.cache.recovered > 0, "recoveries counted:\n{}", batch.stats.render_text());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn transient_faults_succeed_after_retries_with_recorded_backoff() {
-    // Transient(2) fails twice with CacheCorrupt, then succeeds; with
-    // --retries 2 the program ends Ok on the third attempt, and the
-    // injected clock records the deterministic exponential backoff.
-    let inputs = small_inputs();
-    let clean = baseline(&inputs);
-    let victim = 2;
-    let sleeps: Arc<std::sync::Mutex<Vec<std::time::Duration>>> = Arc::default();
-    let cfg = EngineConfig {
-        faults: vec![FaultPlan::at(Stage::Profile, victim, FaultMode::Transient(2))],
-        retries: 2,
-        backoff_base_ms: 3,
-        ..Default::default()
-    };
-    let eng = Arc::new(Engine::new(cfg).expect("engine"));
-    let rec = Arc::clone(&sleeps);
-    eng.set_sleeper(move |d| rec.lock().expect("sleep log").push(d));
-    let batch = eng.batch(inputs, 1);
-
-    for (i, o) in batch.outcomes.iter().enumerate() {
-        assert_eq!(*o.outcome.report().expect("all Ok after retries"), clean[i]);
-    }
-    assert_eq!(batch.stats.retries, 2);
-    assert_eq!(batch.stats.errors + batch.stats.degraded, 0);
-    assert_eq!(
-        *sleeps.lock().expect("sleep log"),
-        vec![std::time::Duration::from_millis(3), std::time::Duration::from_millis(6)],
-        "backoff doubles deterministically from the base"
-    );
-}
-
-#[test]
-fn retry_exhaustion_surfaces_the_transient_failure() {
-    // More transient trips than retries: the failure sticks, classified
-    // as CacheCorrupt, and the retry counter shows the attempts made.
-    let inputs = small_inputs();
-    let cfg = EngineConfig {
-        faults: vec![FaultPlan::at(Stage::Profile, 0, FaultMode::Transient(9))],
-        retries: 2,
-        backoff_base_ms: 0,
-        ..Default::default()
-    };
-    let eng = Arc::new(Engine::new(cfg).expect("engine"));
-    let batch = eng.batch(inputs, 1);
-    let err = batch.outcomes[0].outcome.error().expect("victim still fails");
-    assert_eq!(err.kind, ErrorKind::CacheCorrupt);
-    assert!(batch.outcomes[0].outcome.is_degraded(), "profile is dynamic");
-    assert_eq!(batch.stats.retries, 2);
-}
-
-#[test]
-fn permanent_failures_are_never_retried() {
-    // A runtime fault is a deterministic property of the input; granting
-    // retries must not burn attempts on it.
-    let inputs = small_inputs();
-    let cfg = EngineConfig {
-        faults: vec![FaultPlan::at(Stage::Profile, 1, FaultMode::Fail(ErrorKind::Runtime))],
-        retries: 3,
-        ..Default::default()
-    };
-    let eng = Arc::new(Engine::new(cfg).expect("engine"));
-    let batch = eng.batch(inputs, 1);
-    assert!(batch.outcomes[1].outcome.is_degraded());
-    assert_eq!(batch.stats.retries, 0);
 }
 
 #[test]

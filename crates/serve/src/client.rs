@@ -6,7 +6,7 @@
 //!
 //! Every verb helper stamps its request with an auto-incrementing id
 //! (`c0`, `c1`, …) and — when a [`RetryPolicy`] grants attempts — retries
-//! `overloaded`/`transient` responses and transient socket failures with
+//! `overloaded` responses and transient socket failures with
 //! deterministic jittered exponential backoff, reconnecting first (a
 //! shed connection is closed by the server). Re-sent requests carry a
 //! `"retry": k` member so the server's `retries_client` counter sees
@@ -66,7 +66,8 @@ enum Target {
     Unix(PathBuf),
 }
 
-/// Client-side retry discipline for `overloaded`/transient failures.
+/// Client-side retry discipline for `overloaded` answers and socket
+/// failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries granted after the first attempt; `0` disables retrying.
@@ -134,8 +135,8 @@ impl Client {
     }
 
     /// Arm retries: `policy.attempts` extra tries with deterministic
-    /// jittered exponential backoff on `overloaded`/`transient` responses
-    /// and transient socket failures.
+    /// jittered exponential backoff on `overloaded` responses and
+    /// transient socket failures.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
         self.rng = if policy.seed == 0 { 0x5EED_CAFE } else { policy.seed };
@@ -309,8 +310,7 @@ fn tcp_stream(addr: &str) -> std::io::Result<TcpStream> {
 }
 
 /// `true` for structured error responses worth re-sending: the server
-/// shed the request (`overloaded`) or an injected transient fault asked
-/// for a retry (`transient`).
+/// shed the request (`overloaded`).
 fn retryable_response(response: &str) -> bool {
     let Ok(value) = json::parse(response) else {
         return false;
@@ -318,7 +318,7 @@ fn retryable_response(response: &str) -> bool {
     if value.get("status").and_then(Json::as_str) != Some("error") {
         return false;
     }
-    matches!(value.get("code").and_then(Json::as_str), Some("overloaded" | "transient"))
+    matches!(value.get("code").and_then(Json::as_str), Some("overloaded"))
 }
 
 /// `true` for socket failures that a reconnect can heal: the peer closed
@@ -341,11 +341,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn retryable_codes_are_exactly_overloaded_and_transient() {
+    fn retryable_codes_are_exactly_overloaded() {
         assert!(retryable_response(
             r#"{"status": "error", "code": "overloaded", "message": "m", "queue_depth": 3, "retry_after_ms": 100}"#
         ));
-        assert!(retryable_response(r#"{"status": "error", "code": "transient", "message": "m"}"#));
         assert!(!retryable_response(r#"{"status": "error", "code": "bad-json", "message": "m"}"#));
         assert!(!retryable_response(r#"{"status": "ok", "code": "overloaded"}"#));
         assert!(!retryable_response("not json"));

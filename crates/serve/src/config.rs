@@ -42,7 +42,7 @@ pub const MIN_IDLE_TIMEOUT_MS: u64 = 100;
 /// When armed, every pool-bound request rolls a deterministic
 /// xorshift-derived die: with probability `fault_permille`/1000 the
 /// request is answered with an injected failure (structured error,
-/// worker panic, stall, or transient) instead of — or on the way to —
+/// worker panic, or stall) instead of — or on the way to —
 /// its real result. The sequence is a pure function of `seed` and the
 /// request arrival order, so a soak run is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +87,6 @@ pub struct ServeConfig {
     /// Longest accepted request line, in bytes; longer frames are
     /// answered with an `oversized-frame` error.
     pub max_frame: usize,
-    /// In-memory artifact cache capacity (entries) shared by all clients.
-    pub cache_capacity: usize,
     /// Disk cache/stats directory; `None` keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Execution budgets applied to every profiled run.
@@ -109,7 +107,6 @@ impl Default for ServeConfig {
             idle_timeout_ms: DEFAULT_IDLE_TIMEOUT_MS,
             chaos: None,
             max_frame: DEFAULT_MAX_FRAME,
-            cache_capacity: 512,
             cache_dir: None,
             limits: ExecLimits::default(),
             watchdog: true,
@@ -218,9 +215,6 @@ impl ServeConfig {
                 format!("{} bytes exceeds the {MAX_FRAME_CEILING}-byte ceiling", self.max_frame),
             );
         }
-        if self.cache_capacity == 0 {
-            reject("cache_capacity", "a resident service needs a non-empty cache".to_owned());
-        }
         if issues.is_empty() {
             Ok(())
         } else {
@@ -258,7 +252,6 @@ mod tests {
             idle_timeout_ms: 0,
             chaos: Some(ChaosConfig { seed: 1, fault_permille: 1001 }),
             max_frame: 10,
-            cache_capacity: 0,
             ..ServeConfig::default()
         };
         let issues = cfg.validate().unwrap_err();
@@ -272,13 +265,12 @@ mod tests {
             "idle_timeout_ms",
             "chaos.fault_permille",
             "max_frame",
-            "cache_capacity",
         ] {
             assert!(fields.contains(&f), "missing {f} in {fields:?}");
         }
         let text = ServeConfig::explain(&issues);
         assert!(text.contains("invalid serve configuration"), "{text}");
-        assert!(text.lines().count() >= 10, "{text}");
+        assert!(text.lines().count() >= 9, "{text}");
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //!   nor go quiet are cut off after `idle_timeout_ms` with a structured
 //!   `idle-timeout` error;
 //! - **chaos harness** — an opt-in [`ChaosConfig`] injects deterministic
-//!   per-request faults (failures, panics, stalls, transients) so soak
+//!   per-request faults (failures, panics, stalls) so soak
 //!   tests can prove the failure envelope stays structured;
 //! - **client retries** — [`Client`] stamps request ids and, under a
-//!   [`client::RetryPolicy`], retries `overloaded`/`transient` outcomes
-//!   with deterministic jittered exponential backoff;
+//!   [`client::RetryPolicy`], retries `overloaded` answers and dropped
+//!   connections with deterministic jittered exponential backoff;
 //! - **validated configuration** — [`ServeConfig`] checks every field at
 //!   startup and reports all violations at once ([`config`]).
 //!

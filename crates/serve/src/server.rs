@@ -87,11 +87,10 @@ impl ChaosState {
         if parpat_engine::xorshift64(&mut s) % 1000 >= u64::from(self.fault_permille) {
             return None;
         }
-        Some(match parpat_engine::xorshift64(&mut s) % 4 {
+        Some(match parpat_engine::xorshift64(&mut s) % 3 {
             0 => FaultMode::Fail(ErrorKind::Runtime),
             1 => FaultMode::Panic,
-            2 => FaultMode::Stall(40),
-            _ => FaultMode::Transient(1),
+            _ => FaultMode::Stall(40),
         })
     }
 }
@@ -169,7 +168,6 @@ impl Server {
         cfg.validate().map_err(|issues| ServeConfig::explain(&issues))?;
         let engine = Engine::new(EngineConfig {
             analysis: AnalysisConfig { limits: cfg.limits, ..Default::default() },
-            cache_capacity: cfg.cache_capacity,
             cache_dir: cfg.cache_dir.clone(),
             watchdog: cfg.watchdog.then(WatchdogConfig::default),
             ..Default::default()
@@ -582,8 +580,8 @@ enum Verb {
 /// the result. The pool's unwind boundary means a panicking job kills
 /// neither the worker nor this connection: the channel sender is dropped
 /// and the client gets a structured `worker-lost` error. An armed chaos
-/// plan injects its fault here — before the pool (structured failure,
-/// transient) or inside the job (panic, stall). With a deadline, the
+/// plan injects its fault here — before the pool (structured failure) or
+/// inside the job (panic, stall). With a deadline, the
 /// engine cancels the job cooperatively; the channel wait carries a
 /// slack-extended timeout as a last-resort backstop against a worker so
 /// wedged even cancellation cannot reach it.
@@ -611,18 +609,8 @@ fn run_job(
         return error_json(id.as_deref(), "shutting-down", "service is shutting down");
     }
     let fault = shared.chaos.as_ref().and_then(ChaosState::roll);
-    match fault {
-        Some(FaultMode::Fail(_) | FaultMode::Miscompile) => {
-            return error_json(id.as_deref(), "injected-fault", "chaos: injected request failure");
-        }
-        Some(FaultMode::Transient(_)) => {
-            return error_json(
-                id.as_deref(),
-                "transient",
-                "chaos: transient failure, safe to retry",
-            );
-        }
-        _ => {}
+    if let Some(FaultMode::Fail(_) | FaultMode::Miscompile) = fault {
+        return error_json(id.as_deref(), "injected-fault", "chaos: injected request failure");
     }
     let (tx, rx) = mpsc::channel::<String>();
     let job_shared = Arc::clone(shared);

@@ -26,15 +26,8 @@ const HEAVY: &str = "fn main() {
 }";
 
 /// Error codes a client may legitimately see under chaos + overload.
-const STRUCTURED_CODES: &[&str] = &[
-    "injected-fault",
-    "transient",
-    "overloaded",
-    "worker-lost",
-    "deadline",
-    "idle-timeout",
-    "shutting-down",
-];
+const STRUCTURED_CODES: &[&str] =
+    &["injected-fault", "overloaded", "worker-lost", "deadline", "idle-timeout", "shutting-down"];
 
 /// The one-shot reference reports, the same path `parpat batch --json`
 /// renders from.
@@ -103,8 +96,8 @@ fn chaos_soak_survives_mixed_hostile_traffic_without_panics() {
     let addr = server.tcp_addr().expect("tcp listener").to_string();
 
     // Four well-behaved clients hammering the full bundled suite with
-    // retries armed: injected transients and sheds are absorbed, every
-    // terminal answer is checked for byte-identity or a structured code.
+    // retries armed: sheds are absorbed, and every terminal answer is
+    // checked for byte-identity or a structured code.
     let valid: Vec<_> = (0..4)
         .map(|i| {
             let addr = addr.clone();

@@ -21,7 +21,7 @@ USAGE:
     parpat suggest <file.ml> [--workers <n>] [--json]  ranked patterns + transformations
     parpat run <file.ml>                             execute the program, print stats
     parpat batch <dir|apps> [--jobs <n>] [--cache-dir <d>]
-                 [--max-steps <n>] [--timeout-ms <ms>] [--max-mem-cells <n>] [--retries <n>]
+                 [--max-steps <n>] [--timeout-ms <ms>] [--max-mem-cells <n>]
                  [--resume] [--sanitize] [--json]
                                                      analyze every .ml file of a directory (or the
                                                      bundled apps) in parallel with artifact caching
@@ -75,10 +75,8 @@ bogus-line, drop-store) seeds one for testing the pipeline itself.
 
 Batch runs journal every completed program to `journal.wal` in the cache
 directory; after a crash or kill, `--resume` restores the completed
-prefix from the journal and re-analyzes only the rest. `--retries <n>`
-re-runs transiently failed programs (e.g. corrupted cache records) up to
-n times with exponential backoff; a watchdog cancels and requeues stalled
-jobs once.
+prefix from the journal and re-analyzes only the rest. A watchdog
+cancels and requeues stalled jobs once.
 
 `parpat serve` keeps the engine (and its cache) resident: clients send
 one JSON request per line — `{\"cmd\": \"analyze\", \"app\": \"ludcmp\"}` or
@@ -96,7 +94,7 @@ cancelled and answered with its degraded static report or a `deadline`
 error. Clients that never complete a request line — slow-loris or
 byte-dribbling peers — are cut off after `--idle-timeout-ms` (default
 30000) with an `idle-timeout` error. `--chaos-permille <n>` injects a
-deterministic fault (failure, worker panic, stall, or transient) into
+deterministic fault (failure, worker panic, or stall) into
 roughly n/1000 requests, seeded by `--chaos-seed`, for soak-testing the
 failure envelope.
 
@@ -268,12 +266,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 None => std::thread::available_parallelism().map_or(1, |n| n.get()),
             };
             let limits = exec_limits_opts(&opts)?;
-            let retries = match opt_value(&opts, "--retries")? {
-                Some(v) => v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--retries must be a non-negative integer, got `{v}`"))?,
-                None => 0,
-            };
             let resume = opts.iter().any(|o| o == "--resume");
             let sanitize = opts.iter().any(|o| o == "--sanitize");
             let cache_dir = cache_dir_opt(&opts)?;
@@ -287,7 +279,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let cfg = parpat_engine::EngineConfig {
                 cache_dir,
                 analysis: AnalysisConfig { limits, ..Default::default() },
-                retries,
                 resume,
                 sanitize,
                 watchdog: Some(parpat_runtime::WatchdogConfig::default()),
@@ -993,18 +984,6 @@ fn main() {
         }
         assert!(run(&args(&["analyze", &path, "--max-steps", "100000", "--timeout-ms", "5000"]))
             .is_ok());
-    }
-
-    #[test]
-    fn retries_flag_is_validated_and_accepted() {
-        let (dir, _) = batch_dir("retries_flag_is_validated_and_accepted");
-        for bad in ["-1", "zap", "1.5"] {
-            let err =
-                run(&args(&["batch", &dir, "--cache-dir", "none", "--retries", bad])).unwrap_err();
-            assert!(err.contains("--retries"), "`{bad}` gave: {err}");
-        }
-        let out = run(&args(&["batch", &dir, "--cache-dir", "none", "--retries", "2"])).unwrap();
-        assert!(out.contains("0 retries"), "{out}");
     }
 
     #[test]
